@@ -10,7 +10,7 @@ area.
 """
 
 from .engine import Tolerance, NumericResult, adaptive_quad, sum_series, find_root, finite_diff
-from .specfun import DimensionD, gamma_fn, riemann_zeta, hurwitz_zeta, solid_angle
+from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import (
     CavityConfig,
     EnergyValue,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, find_root
+from .engine import Tolerance, DEFAULT_TOL, NumericResult, adaptive_quad, find_root
 from .matsubara import CavityConfig, EnergyValue
 from .green_em import spectral_energy_density
 
@@ -57,15 +57,12 @@ class LorentzModel:
 
     eps_bar: float
     omega0: float
-    mu: float = 1.0
 
     def __post_init__(self):
         if self.eps_bar < 1:
             raise ValueError(f"eps_bar must be >= 1, got {self.eps_bar}")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.mu != 1.0:
-            raise ValueError("only the nonmagnetic case mu = 1 is modelled")
 
 
 @dataclass(frozen=True)
@@ -225,16 +222,15 @@ class W2CutoffResult:
 
 def _w2_transverse_integral(
     zeta: float, eps_i: float, cfg: CavityConfig, tol: Tolerance
-) -> float:
-    """(1/2pi) int k dk <E^2>_{zeta k} with <E^2> from the rotated
-    spectral density at eps(i zeta)."""
+) -> NumericResult:
+    """int k dk <E^2>_{zeta k} with <E^2> from the rotated spectral
+    density at eps(i zeta)."""
 
     def f(k: float) -> float:
         p = spectral_energy_density(k, zeta, cfg, eps=eps_i, mu=1.0)
         return k * 2.0 * p.electric_half / eps_i
 
-    res = adaptive_quad(f, 0.0, math.inf, tol)
-    return res.value / (2.0 * math.pi)
+    return adaptive_quad(f, 0.0, math.inf, tol)
 
 
 def w2_density_cutoff(
@@ -255,10 +251,13 @@ def w2_density_cutoff(
     inner_tol = Tolerance(rel=1e-10, abs=0.0, max_iter=tol.max_iter)
     seg_tol = Tolerance(rel=max(tol.rel, 1e-10), abs=0.0, max_iter=tol.max_iter)
     pref = 2.0 * cfg.a * (model.eps_bar - 1.0) / (model.omega0**2 * 2.0 * math.pi)
+    state = {"ok": True}
 
     def integrand(zeta: float) -> float:
         w = zeta**2 / (1.0 + (zeta / model.omega0) ** 2) ** 2
-        return w * _w2_transverse_integral(zeta, eps_imag_axis(model, zeta), cfg, inner_tol)
+        inner = _w2_transverse_integral(zeta, eps_imag_axis(model, zeta), cfg, inner_tol)
+        state["ok"] &= inner.converged
+        return w * (inner.value / (2.0 * math.pi))
 
     if model.eps_bar == 1.0:
         zero = EnergyValue(0.0, 0.0, "quadrature")
@@ -275,5 +274,5 @@ def w2_density_cutoff(
         err += seg.err_estimate
         ok &= seg.converged
         scan.append((hi, pref * acc))
-    value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok)
+    value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok and state["ok"])
     return W2CutoffResult(value, tuple(scan))

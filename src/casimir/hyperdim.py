@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series
-from .specfun import DimensionD, gamma_fn, riemann_zeta, hurwitz_zeta, solid_angle
+from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
+from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import EnergyValue
 from .dispersion import LorentzModel, photon_index
 
@@ -149,7 +149,7 @@ def pressure_closed(cfg: HyperConfig) -> EnergyValue:
         -(D - 2)
         * (D - 1)
         / cfg.n
-        * gamma_fn(D / 2.0)
+        * math.gamma(D / 2.0)
         * riemann_zeta(float(D))
         / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D)
     )
@@ -160,7 +160,7 @@ def _w1(cfg: HyperConfig) -> float:
     D = cfg.D
     return (
         -(D - 2)
-        * gamma_fn(D / 2.0)
+        * math.gamma(D / 2.0)
         * riemann_zeta(float(D))
         / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D * cfg.n)
     )
@@ -194,7 +194,7 @@ def density_profile(cfg: HyperConfig, u_grid) -> DensityProfile:
     else:
         pref = (
             -(D - 2)
-            * gamma_fn(D / 2.0)
+            * math.gamma(D / 2.0)
             / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D * cfg.n)
             * coef
         )
@@ -208,17 +208,15 @@ def density_profile(cfg: HyperConfig, u_grid) -> DensityProfile:
 
 def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     """The two density-route pressures: (D-1) w1 and -d(a w1)/da by
-    central finite difference.  Both equal pressure_closed."""
+    engine.finite_diff.  Both equal pressure_closed."""
     ident = EnergyValue((cfg.D - 1) * _w1(cfg), abs(_w1(cfg)) * 1e-14, "closed_form")
 
     def a_w1(a: float) -> float:
         return a * _w1(HyperConfig(dim=cfg.dim, a=a, n=cfg.n))
 
-    h = cfg.a * 6.0e-6
-    d_h = -(a_w1(cfg.a + h) - a_w1(cfg.a - h)) / (2.0 * h)
-    d_h2 = -(a_w1(cfg.a + 0.5 * h) - a_w1(cfg.a - 0.5 * h)) / h
-    fd = (4.0 * d_h2 - d_h) / 3.0
-    return ident, EnergyValue(fd, abs(d_h2 - d_h) / 3.0 + abs(fd) * 1e-12, "quadrature")
+    res = finite_diff(a_w1, cfg.a, cfg.a * 6.0e-6)
+    fd = -res.value
+    return ident, EnergyValue(fd, res.err_estimate + abs(fd) * 1e-12, "finite_difference")
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class CutoffEnergyResult:
     scan: tuple[tuple[float, float], ...]
 
 
-def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, m_max=None) -> EnergyValue:
+def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
     # q = pi m / a, after substituting E = sqrt(k^2 + q^2).
     d = cfg.d
@@ -251,9 +249,6 @@ def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, m_max=None) 
         state["ok"] &= res.converged
         return res.value
 
-    if m_max is not None:
-        total = sum(term(m) for m in range(1, m_max + 1))
-        return EnergyValue(a_d * total, a_d * state["err"], "quadrature", state["ok"])
     series = sum_series(term, start=1, tol=tol)
     return EnergyValue(
         a_d * series.value,
@@ -264,7 +259,7 @@ def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, m_max=None) 
 
 
 def cutoff_mode_energy(
-    cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL, m_max: int | None = None
+    cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL
 ) -> CutoffEnergyResult:
     """Exponentially regulated vacuum-mode energy; medium enters only
     through the overall 1/n.  The scan reports the value at lambda,
@@ -274,7 +269,7 @@ def cutoff_mode_energy(
         raise ValueError(f"cutoff lambda must be > 0, got {lam}")
     values = []
     for scale in (1.0, 0.5, 0.25):
-        res = _mode_sum(cfg, lam * scale, tol, lambda e: cfg.n, m_max=m_max)
+        res = _mode_sum(cfg, lam * scale, tol, lambda e: cfg.n)
         values.append((lam * scale, res))
     head = values[0][1]
     return CutoffEnergyResult(head, tuple((l, r.value) for l, r in values))
@@ -285,7 +280,6 @@ def dispersive_hyper_energy(
     model: LorentzModel,
     lam: float,
     tol: Tolerance = DEFAULT_TOL,
-    m_max: int | None = None,
 ) -> EnergyValue:
     """Regulated mode energy with the dispersive photon relation: each
     mode of wavenumber k carries energy k/n(k) with n(k) the photon-branch
@@ -301,4 +295,4 @@ def dispersive_hyper_energy(
     def n_of_k(k: float) -> float:
         return photon_index(model, k, root_tol)
 
-    return _mode_sum(cfg, lam, tol, n_of_k, m_max=m_max)
+    return _mode_sum(cfg, lam, tol, n_of_k)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series
+from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -65,6 +65,7 @@ METHOD_TAGS = (
     "low_T_expansion",
     "high_T_asymptote",
     "quadrature",
+    "finite_difference",
     "closed_form",
 )
 
@@ -248,13 +249,12 @@ def internal_energy_resummed(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Internal energy as d(beta F)/d beta by central differences.
+    """Internal energy as d(beta F)/d beta by finite differences.
 
     beta enters each Matsubara term only through the lower limit of its
     integral, so the derivative is taken term by term (the m = 0 term of
     beta F is a beta-independent constant and drops out exactly).  Each
-    term uses steps h and h/2 with a Richardson combination; the h vs h/2
-    spread feeds the error estimate.
+    term is one engine.finite_diff step, whose error estimate is summed.
     """
     if not cfg.T > 0:
         raise ValueError("internal_energy_from_F requires T > 0")
@@ -269,19 +269,15 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
         return res.value / math.pi
 
     def term(m: int) -> float:
-        def g(b: float) -> float:
-            return beta_f_term(m, b)
-
-        d_h = (g(beta + h) - g(beta - h)) / (2.0 * h)
-        d_h2 = (g(beta + 0.5 * h) - g(beta - 0.5 * h)) / h
-        state["err"] += abs(d_h2 - d_h) / 3.0
-        return (4.0 * d_h2 - d_h) / 3.0
+        res = finite_diff(lambda b: beta_f_term(m, b), beta, h)
+        state["err"] += res.err_estimate
+        return res.value
 
     series = sum_series(term, start=1, tol=tol)
     return EnergyValue(
         series.value,
         state["err"] + series.err_estimate,
-        "quadrature",
+        "finite_difference",
         series.converged and state["ok"],
     )
 
@@ -344,8 +340,7 @@ def internal_energy_highT_asymptote(cfg: CavityConfig) -> EnergyValue:
 
 
 def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Pressure P = -dF/da by central difference in the separation,
-    with a Richardson step-halving combination."""
+    """Pressure P = -dF/da by engine.finite_diff in the separation."""
     h = cfg.a * 6.0e-6
 
     def F(a: float) -> float:
@@ -354,7 +349,6 @@ def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
             return free_energy_T0(moved).value
         return free_energy(moved, tol).value
 
-    d_h = -(F(cfg.a + h) - F(cfg.a - h)) / (2.0 * h)
-    d_h2 = -(F(cfg.a + 0.5 * h) - F(cfg.a - 0.5 * h)) / h
-    value = (4.0 * d_h2 - d_h) / 3.0
-    return EnergyValue(value, abs(d_h2 - d_h) / 3.0 + abs(value) * 1e-12, "quadrature")
+    res = finite_diff(F, cfg.a, h)
+    value = -res.value
+    return EnergyValue(value, res.err_estimate + abs(value) * 1e-12, "finite_difference")

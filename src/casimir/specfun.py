@@ -1,11 +1,11 @@
-"""Special functions needed by the closed-form energies: Gamma, Riemann
-and Hurwitz zeta (real arguments, s > 1), and hypersphere solid angles.
+"""Special functions needed by the closed-form energies: Riemann and
+Hurwitz zeta (real arguments, s > 1) and hypersphere solid angles.
+Gamma is the standard library's math.gamma.
 
-Gamma uses a fixed Lanczos rational approximation; the zetas use a direct
-partial sum plus an Euler-Maclaurin tail with Bernoulli corrections
-through B4, with the truncation point chosen so the first dropped
-correction is negligible at double precision.  All routines deliver at
-least 12 significant digits on their stated domains.
+The zetas use a direct partial sum plus an Euler-Maclaurin tail with
+Bernoulli corrections through B4, with the truncation point chosen so the
+first dropped correction is negligible at double precision.  All routines
+deliver at least 12 significant digits on their stated domains.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["DimensionD", "gamma_fn", "riemann_zeta", "hurwitz_zeta", "solid_angle"]
+__all__ = ["DimensionD", "riemann_zeta", "hurwitz_zeta", "solid_angle"]
 
 
 @dataclass(frozen=True)
@@ -31,36 +31,6 @@ class DimensionD:
     @property
     def d(self) -> int:
         return self.D - 1
-
-
-# Lanczos g=7, 9-term coefficients (double precision accurate).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x > 0."""
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def hurwitz_zeta(s: float, q: float) -> float:
@@ -113,4 +83,4 @@ def solid_angle(d: int) -> float:
     (d-1)-sphere embedded in d spatial dimensions."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"solid_angle requires integer d >= 1, got {d!r}")
-    return 2.0 * math.pi ** (0.5 * d) / gamma_fn(0.5 * d)
+    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)

@@ -64,7 +64,7 @@ class TestCircuitEnergy:
     def test_capacitance_derivative_cross_check(self):
         e = circuit_energy(DISPERSIVE)
         fd = finite_diff(lambda w: DISPERSIVE.capacitance(w), e.omega_star, 1e-6)
-        assert e.dC_domega == pytest.approx(fd, rel=1e-6)
+        assert e.dC_domega == pytest.approx(fd.value, rel=1e-6)
 
     def test_amplitude_linearity(self):
         one = circuit_energy(DISPERSIVE).value

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from casimir.engine import Tolerance
+from casimir.engine import NumericResult, Tolerance
 from casimir.matsubara import CavityConfig
 from casimir.dispersion import (
     LorentzModel,
@@ -137,11 +137,28 @@ class TestW2Cutoff:
     def test_separation_prefactor_linear(self, monkeypatch):
         # with the transverse integral mocked to a constant, only the
         # explicit 2a prefactor can carry the a-dependence
-        monkeypatch.setattr(dispersion, "_w2_transverse_integral", lambda *args: 1.0)
+        monkeypatch.setattr(
+            dispersion, "_w2_transverse_integral", lambda *args: NumericResult(1.0, 0.0, 1, True)
+        )
         soft = LorentzModel(eps_bar=2.0, omega0=0.2)
         one = w2_density_cutoff(soft, CavityConfig(a=1.0, T=0.0), CutoffSpec(2.0))
         two = w2_density_cutoff(soft, CavityConfig(a=2.0, T=0.0), CutoffSpec(2.0))
         assert two.value.value == pytest.approx(2.0 * one.value.value, rel=1e-14)
+
+    def test_inner_nonconvergence_is_reported(self, monkeypatch):
+        # an unconverged transverse integral must clear the converged flag
+        # without moving the value or its error estimate
+        soft = LorentzModel(eps_bar=2.0, omega0=0.2)
+        results = {}
+        for ok in (True, False):
+            monkeypatch.setattr(
+                dispersion, "_w2_transverse_integral", lambda *args: NumericResult(1.0, 0.0, 1, ok)
+            )
+            results[ok] = w2_density_cutoff(soft, CFG0, CutoffSpec(2.0)).value
+        assert results[True].converged is True
+        assert results[False].converged is False
+        assert results[False].value == results[True].value
+        assert results[False].err_estimate == results[True].err_estimate
 
     def test_cutoff_spec_validation(self):
         with pytest.raises(ValueError):

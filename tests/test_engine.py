@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
 
+import casimir
 from casimir.engine import Tolerance, adaptive_quad, sum_series, find_root, finite_diff
+from casimir.engine import _GL_NODES, _GL_WEIGHTS
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
 TIGHT = Tolerance(rel=1e-12, abs=0.0)
@@ -15,6 +21,53 @@ def test_tolerance_validation():
         Tolerance(abs=-1.0)
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
+
+
+class TestGaussLegendreRule:
+    @staticmethod
+    def _mp_rule(n=15):
+        # roots of P_n by Newton from the standard cosine guesses, 40 digits
+        with mp.workdps(40):
+
+            def dp(x):
+                return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+
+            nodes = []
+            for i in range(n):
+                x = mp.cos(mp.pi * (i + mp.mpf(0.75)) / (n + mp.mpf(0.5)))
+                for _ in range(50):
+                    step = mp.legendre(n, x) / dp(x)
+                    x -= step
+                    if abs(step) < mp.mpf(10) ** -38:
+                        break
+                nodes.append(x)
+            nodes.sort()
+            return nodes, [2 / ((1 - x * x) * dp(x) ** 2) for x in nodes]
+
+    def test_nodes_and_weights_match_mpmath(self):
+        nodes, weights = self._mp_rule()
+        assert len(_GL_NODES) == len(_GL_WEIGHTS) == 15
+        assert list(_GL_NODES) == sorted(_GL_NODES)
+        for x, ref in zip(_GL_NODES, nodes):
+            assert abs(x - ref) <= 2.3e-16
+        for w, ref in zip(_GL_WEIGHTS, weights):
+            assert abs(w - ref) <= 1e-15
+
+    def test_monomials_exact_through_degree_29(self):
+        for k in range(30):
+            approx = sum(w * x**k for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(approx - exact) <= 1e-15, k
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(casimir.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, casimir, casimir.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestAdaptiveQuad:
@@ -145,16 +198,17 @@ class TestFindRoot:
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        assert abs(finite_diff(lambda x: x * x, 3.0, 1e-4) - 6.0) < 1e-8
+        assert abs(finite_diff(lambda x: x * x, 3.0, 1e-4).value - 6.0) < 1e-8
 
     def test_exponential_at_zero(self):
-        assert abs(finite_diff(math.exp, 0.0, 1e-5) - 1.0) < 1e-10
+        assert abs(finite_diff(math.exp, 0.0, 1e-5).value - 1.0) < 1e-10
 
-    def test_cubic_error_is_exact(self):
-        # central difference on x^3 has truncation error exactly h^2 f'''/6 = h^2
-        h = 1e-3
-        err = finite_diff(lambda x: x**3, 2.0, h) - 12.0
-        assert err == pytest.approx(h * h, abs=1e-11)
+    def test_quintic_error_is_richardson_law(self):
+        # the h^2 term cancels; what is left on x^5 is -h^4 f^(5)/480 = -h^4/4
+        h = 0.03
+        res = finite_diff(lambda x: x**5, 2.0, h)
+        assert res.value - 80.0 == pytest.approx(-(h**4) / 4.0, rel=1e-6)
+        assert res.evaluations == 4 and res.converged
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,7 @@ class TestPressureFromDensity:
         closed = pressure_closed(cfg).value
         assert abs(ident.value - closed) <= 1e-12 * abs(closed)
         assert abs(fd.value - closed) <= 1e-8 * abs(closed)
+        assert fd.method == "finite_difference"
 
     def test_D4_identity_is_classic(self):
         ident, _ = pressure_from_w1(HyperConfig(dim=4))
@@ -144,13 +145,25 @@ class TestCutoffModeSum:
             assert abs(exponent - 4.0) <= 0.2 * 4.0
 
     def test_mode_truncation_bound(self):
-        # weights e^(-lambda pi m/a): m beyond 40/(lambda pi/a) is invisible
-        lam = 0.5
-        cfg = HyperConfig(dim=4)
-        full = cutoff_mode_energy(cfg, lam)
-        m_cut = math.ceil(40.0 / (lam * math.pi))
-        trunc = cutoff_mode_energy(cfg, lam, m_max=m_cut)
-        assert abs(trunc.value.value - full.value.value) / abs(full.value.value) < 1e-10
+        # at D = 4 each mode integral is elementary,
+        # int_q^inf E^2 e^(-lam E) dE = e^(-lam q)(q^2/lam + 2q/lam^2 + 2/lam^3),
+        # q = pi m/a, so every scan value has a closed mode sum
+        cfg = HyperConfig(dim=4, a=1.3, n=1.5)
+
+        def closed(lam):
+            terms = []
+            for m in range(1, 10**5):
+                q = math.pi * m / cfg.a
+                t = math.exp(-lam * q) * (q * q / lam + 2 * q / lam**2 + 2 / lam**3)
+                terms.append(t)
+                if t < 1e-20 * terms[0]:
+                    break
+            return math.fsum(terms) / (2 * math.pi * cfg.n)
+
+        res = cutoff_mode_energy(cfg, 0.5)
+        assert [lam for lam, _ in res.scan] == [0.5, 0.25, 0.125]
+        for lam, value in res.scan:
+            assert abs(value - closed(lam)) / abs(closed(lam)) <= 1e-10
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):

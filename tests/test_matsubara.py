@@ -108,6 +108,7 @@ class TestInternalEnergyRoutes:
     def test_from_F_matches_direct_absolute(self):
         u_fd = internal_energy_from_F(cavity(1.0))
         assert abs(u_fd.value - U_111) < 1e-7
+        assert u_fd.method == "finite_difference"
 
     def test_from_F_matches_resummed_relative(self):
         u_fd = internal_energy_from_F(cavity(0.2))
@@ -210,3 +211,4 @@ class TestPressure:
         p = pressure(cavity(1.0))
         assert p.value == pytest.approx(P_111, rel=1e-8)
         assert p.value == pytest.approx(-ZETA3 / (4.0 * math.pi), rel=1e-3)
+        assert p.method == "finite_difference"

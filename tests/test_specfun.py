@@ -3,30 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from casimir.specfun import DimensionD, gamma_fn, riemann_zeta, hurwitz_zeta, solid_angle
-
-
-class TestGamma:
-    def test_integer_and_half_integer_values(self):
-        assert gamma_fn(2.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma_fn(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.5, 1.5, 2.5, 3.7])
-    def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-    def test_twelve_digits_on_contract_domain(self):
-        # independent oracle: mpmath at 30 digits
-        with mp.workdps(30):
-            for x in [0.1, 0.37, 1.0, 2.25, 5.5, 9.99, 14.3, 21.7, 30.0]:
-                assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.5)
+from casimir.specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 
 
 class TestRiemannZeta:
