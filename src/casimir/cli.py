@@ -4,8 +4,8 @@ JSON for offline consumption (no plotting here).
 
 Numbers are printed with 17 significant digits so a double round-trips
 exactly; identical invocations produce byte-identical output.  Exit codes:
-0 success, 1 numerical non-convergence (rows still emitted, flagged),
-2 usage error.
+0 success, 1 numerical non-convergence (rows still emitted, flagged;
+a root solve that runs out of iterations emits no rows), 2 usage error.
 
 Parameters resolve in the order: built-in defaults, then a key=value
 config file (--config, or the CASIMIR_CONFIG environment variable), then
@@ -488,6 +488,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # find_root out of iterations
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -17,6 +17,14 @@ and monotone,
 decreasing from eps_bar at zeta = 0 to 1 at high frequency, and all
 energy integrals are evaluated there.
 
+Both halves of the rotated spectral density equal -eps zeta^2/(kappa d)
+(see casimir.green_em), and k dk = kappa dkappa closes the k integral,
+
+    int_0^inf k dk / (kappa d) = -ln(1 - e^(-2 a sqrt(eps(i zeta)) zeta)) / (2a),
+
+so w_I and W_II are one-dimensional zeta integrals (Lifshitz's reduction,
+Sov. Phys. JETP 2, 73 (1956)); green_em.em_energy_T0 is its nested check.
+
 Sign/normalization convention for W_II: the frequency prefactor
 omega^2/(1 - omega^2/omega0^2)^2 is rotated to zeta^2/(1 + zeta^2/omega0^2)^2
 (magnitude) and the rotated spectral density keeps its own (negative)
@@ -29,9 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, NumericResult, adaptive_quad, find_root
+from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, find_root
 from .matsubara import CavityConfig, EnergyValue
-from .green_em import spectral_energy_density
 
 __all__ = [
     "LorentzModel",
@@ -53,16 +60,16 @@ DEFAULT_RESONANCE_HALFWIDTH = 0.05
 class LorentzModel:
     """Single-resonance nonmagnetic dielectric: static permittivity
     eps_bar >= 1 (eps_bar = 1 is the degenerate vacuum branch) and
-    resonance frequency omega0 > 0."""
+    resonance frequency omega0 > 0, both finite."""
 
     eps_bar: float
     omega0: float
 
     def __post_init__(self):
-        if self.eps_bar < 1:
-            raise ValueError(f"eps_bar must be >= 1, got {self.eps_bar}")
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        if not (math.isfinite(self.eps_bar) and self.eps_bar >= 1):
+            raise ValueError(f"eps_bar must be finite and >= 1, got {self.eps_bar}")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0):
+            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,12 @@ def photon_index(model: LorentzModel, k: float, tol: Tolerance = DEFAULT_TOL) ->
     return k / _upper_branch_solve(model, k, tol)
 
 
+def _w2_transverse_integral(zeta: float, eps_i: float, cfg: CavityConfig) -> float:
+    """int k dk <E^2>_{zeta k} with <E^2> from the rotated spectral
+    density at eps(i zeta), in the closed form of the module docstring."""
+    return zeta**2 * math.log1p(-math.exp(-2.0 * cfg.a * math.sqrt(eps_i) * zeta)) / cfg.a
+
+
 def w_I_energy(
     model: LorentzModel, cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL
 ) -> EnergyValue:
@@ -186,28 +199,16 @@ def w_I_energy(
     """
     if cfg.T != 0:
         raise ValueError("w_I_energy requires T = 0 in the config")
-    inner_tol = Tolerance(rel=1e-11, abs=0.0, max_iter=tol.max_iter)
     outer_tol = Tolerance(rel=max(tol.rel, 1e-9), abs=0.0, max_iter=tol.max_iter)
-    state = {"ok": True}
 
-    def inner(zeta: float) -> float:
+    def integrand(zeta: float) -> float:
         eps_i = eps_imag_axis(model, zeta)
+        return eps_i * _w2_transverse_integral(zeta, eps_i, cfg)
 
-        def f(k: float) -> float:
-            p = spectral_energy_density(k, zeta, cfg, eps=eps_i, mu=1.0)
-            return k * (p.electric_half + p.magnetic_half)
-
-        res = adaptive_quad(f, 0.0, math.inf, inner_tol)
-        state["ok"] &= res.converged
-        return res.value
-
-    outer = adaptive_quad(inner, 0.0, math.inf, outer_tol)
+    outer = adaptive_quad(integrand, 0.0, math.inf, outer_tol)
     pref = cfg.a / (2.0 * math.pi**2)
     return EnergyValue(
-        pref * outer.value,
-        abs(pref) * outer.err_estimate,
-        "quadrature",
-        outer.converged and state["ok"],
+        pref * outer.value, abs(pref) * outer.err_estimate, "quadrature", outer.converged
     )
 
 
@@ -218,19 +219,6 @@ class W2CutoffResult:
 
     value: EnergyValue
     scan: tuple[tuple[float, float], ...]
-
-
-def _w2_transverse_integral(
-    zeta: float, eps_i: float, cfg: CavityConfig, tol: Tolerance
-) -> NumericResult:
-    """int k dk <E^2>_{zeta k} with <E^2> from the rotated spectral
-    density at eps(i zeta)."""
-
-    def f(k: float) -> float:
-        p = spectral_energy_density(k, zeta, cfg, eps=eps_i, mu=1.0)
-        return k * 2.0 * p.electric_half / eps_i
-
-    return adaptive_quad(f, 0.0, math.inf, tol)
 
 
 def w2_density_cutoff(
@@ -248,16 +236,13 @@ def w2_density_cutoff(
     accumulated increments, so the scan is exactly monotone in the
     integral sense).  eps_bar = 1 gives identically zero.
     """
-    inner_tol = Tolerance(rel=1e-10, abs=0.0, max_iter=tol.max_iter)
     seg_tol = Tolerance(rel=max(tol.rel, 1e-10), abs=0.0, max_iter=tol.max_iter)
     pref = 2.0 * cfg.a * (model.eps_bar - 1.0) / (model.omega0**2 * 2.0 * math.pi)
-    state = {"ok": True}
 
     def integrand(zeta: float) -> float:
         w = zeta**2 / (1.0 + (zeta / model.omega0) ** 2) ** 2
-        inner = _w2_transverse_integral(zeta, eps_imag_axis(model, zeta), cfg, inner_tol)
-        state["ok"] &= inner.converged
-        return w * (inner.value / (2.0 * math.pi))
+        inner = _w2_transverse_integral(zeta, eps_imag_axis(model, zeta), cfg)
+        return w * (inner / (2.0 * math.pi))
 
     if model.eps_bar == 1.0:
         zero = EnergyValue(0.0, 0.0, "quadrature")
@@ -274,5 +259,5 @@ def w2_density_cutoff(
         err += seg.err_estimate
         ok &= seg.converged
         scan.append((hi, pref * acc))
-    value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok and state["ok"])
+    value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok)
     return W2CutoffResult(value, tuple(scan))

@@ -55,8 +55,8 @@ _GL_WEIGHTS = tuple(w for _, w in _GL_HALF[:0:-1]) + tuple(w for _, w in _GL_HAL
 class Tolerance:
     """Convergence targets shared by the numerical routines.
 
-    rel is a relative tolerance (> 0), abs an absolute floor (>= 0),
-    max_iter the iteration budget (>= 1).
+    rel is a relative tolerance (> 0), abs an absolute floor (>= 0), both
+    finite; max_iter the iteration budget (>= 1).
     """
 
     rel: float = 1e-10
@@ -64,10 +64,10 @@ class Tolerance:
     max_iter: int = 10**6
 
     def __post_init__(self):
-        if not self.rel > 0:
-            raise ValueError(f"rel tolerance must be > 0, got {self.rel}")
-        if self.abs < 0:
-            raise ValueError(f"abs tolerance must be >= 0, got {self.abs}")
+        if not (math.isfinite(self.rel) and self.rel > 0):
+            raise ValueError(f"rel tolerance must be finite and > 0, got {self.rel}")
+        if not (math.isfinite(self.abs) and self.abs >= 0):
+            raise ValueError(f"abs tolerance must be finite and >= 0, got {self.abs}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -148,7 +148,8 @@ def spectral_energy_density(
 
 def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Zero-temperature energy per unit area by nested adaptive
-    quadrature over (zeta, k_perp)."""
+    quadrature over (zeta, k_perp): the independent check, at constant
+    eps, of the closed k integral that casimir.dispersion relies on."""
     if cfg.T != 0:
         raise ValueError("em_energy_T0 requires T = 0 in the config")
     n2 = cfg.n**2

@@ -62,8 +62,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperConfig:
-    """Spacetime dimension (int or DimensionD), separation a, index n;
-    temperature is fixed at zero."""
+    """Spacetime dimension (int or DimensionD), finite separation a and
+    index n; temperature is fixed at zero."""
 
     dim: DimensionD
     a: float = 1.0
@@ -72,10 +72,10 @@ class HyperConfig:
     def __post_init__(self):
         if not isinstance(self.dim, DimensionD):
             object.__setattr__(self, "dim", DimensionD(self.dim))
-        if not self.a > 0:
-            raise ValueError(f"separation a must be > 0, got {self.a}")
-        if self.n < 1:
-            raise ValueError(f"refractive index n must be >= 1, got {self.n}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"separation a must be finite and > 0, got {self.a}")
+        if not (math.isfinite(self.n) and self.n >= 1):
+            raise ValueError(f"refractive index n must be finite and >= 1, got {self.n}")
 
     @property
     def D(self) -> int:

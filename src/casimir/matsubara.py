@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
 from .specfun import riemann_zeta
 
@@ -75,19 +73,20 @@ ROUTE_SPLIT_NAT = 0.3
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Plate separation a > 0, temperature T >= 0, refractive index n >= 1."""
+    """Plate separation a > 0, temperature T >= 0, refractive index n >= 1,
+    all finite."""
 
     a: float
     T: float
     n: float = 1.0
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"separation a must be > 0, got {self.a}")
-        if self.T < 0:
-            raise ValueError(f"temperature T must be >= 0, got {self.T}")
-        if self.n < 1:
-            raise ValueError(f"refractive index n must be >= 1, got {self.n}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"separation a must be finite and > 0, got {self.a}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"temperature T must be finite and >= 0, got {self.T}")
+        if not (math.isfinite(self.n) and self.n >= 1):
+            raise ValueError(f"refractive index n must be finite and >= 1, got {self.n}")
 
     @property
     def naT(self) -> float:
@@ -97,7 +96,8 @@ class CavityConfig:
 @dataclass(frozen=True)
 class EnergyValue:
     """A computed energy/pressure with an error estimate and a tag naming
-    the route that produced it (one of METHOD_TAGS)."""
+    the route that produced it (one of METHOD_TAGS).  A non-finite value
+    or err_estimate is never converged."""
 
     value: float
     err_estimate: float
@@ -109,6 +109,8 @@ class EnergyValue:
             raise ValueError("err_estimate must be >= 0")
         if self.method not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.err_estimate)):
+            object.__setattr__(self, "converged", False)
 
     def __float__(self) -> float:
         return self.value
@@ -224,7 +226,9 @@ def internal_energy_resummed(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) ->
     m_needed = int(dps * math.log(10.0) / (2.0 * c)) + 25
     converged = m_needed <= tol.max_iter
 
-    ctx = mp.mp.clone()  # private context: reentrant, global precision untouched
+    import mpmath  # only this route needs it; keeps `import casimir` light
+
+    ctx = mpmath.mp.clone()  # private context: reentrant, global precision untouched
     ctx.dps = dps
     pi = ctx.pi
     a = ctx.mpf(cfg.a)

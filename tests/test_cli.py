@@ -105,6 +105,13 @@ class TestExitCodes:
         assert code == 1
         assert parse_csv(out)[0]["converged"] == "false"
 
+    def test_root_solve_failure_exits_one(self, capsys):
+        code = main(["circuit", "--max-iter", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_finite_T_pressure_needs_D4(self, capsys):
         code, _ = run_cli(["pressure", "--T", "1", "--D", "5"], capsys)
         assert code == 2

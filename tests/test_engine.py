@@ -21,6 +21,9 @@ def test_tolerance_validation():
         Tolerance(abs=-1.0)
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
+    for bad in ({"rel": math.inf}, {"rel": math.nan}, {"abs": math.nan}, {"abs": math.inf}):
+        with pytest.raises(ValueError):
+            Tolerance(**bad)
 
 
 class TestGaussLegendreRule:
@@ -63,11 +66,14 @@ class TestGaussLegendreRule:
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(casimir.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, casimir, casimir.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, casimir, casimir.cli; "
+        "print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestAdaptiveQuad:

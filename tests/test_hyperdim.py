@@ -112,6 +112,9 @@ class TestDensityProfile:
             density_profile(HyperConfig(dim=3), [0.5])
         with pytest.raises(ValueError):
             density_profile(HyperConfig(dim=6), [0.0, 0.5])
+        for bad in ({"a": math.inf}, {"a": math.nan}, {"n": math.nan}, {"n": math.inf}):
+            with pytest.raises(ValueError):
+                HyperConfig(dim=4, **bad)
 
 
 class TestPressureFromDensity:

@@ -44,12 +44,22 @@ class TestConfigAndValue:
             CavityConfig(a=1.0, T=-1.0)
         with pytest.raises(ValueError):
             CavityConfig(a=1.0, T=1.0, n=0.5)
+        for bad in ((1.0, math.nan), (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                CavityConfig(*bad)
+        for n in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CavityConfig(1.0, 1.0, n)
 
     def test_energy_value_checks(self):
         with pytest.raises(ValueError):
             EnergyValue(1.0, -1.0, "direct_sum")
         with pytest.raises(ValueError):
             EnergyValue(1.0, 0.0, "not_a_method")
+        # a non-finite value or error estimate is never converged
+        for value, err in ((math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+            assert EnergyValue(value, err, "direct_sum").converged is False
+        assert EnergyValue(1.0, 0.0, "direct_sum").converged is True
 
 
 class TestFreeEnergy:
