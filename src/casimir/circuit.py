@@ -40,7 +40,8 @@ __all__ = ["CircuitSpec", "CircuitEnergy", "eigenfrequency", "circuit_energy",
 class CircuitSpec:
     """Self-inductance L, plate separation a, capacitance scale A_plate
     (so C0(a) = A_plate/a), optional Lorentz dielectric filling, and the
-    mean-square potential setting the amplitude."""
+    mean-square potential phi_sq_bar >= 0 setting the amplitude; all
+    finite."""
 
     L: float
     a: float = 1.0
@@ -49,12 +50,14 @@ class CircuitSpec:
     phi_sq_bar: float = 1.0
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"self-inductance must be > 0, got {self.L}")
-        if not self.a > 0:
-            raise ValueError(f"separation must be > 0, got {self.a}")
-        if not self.A_plate > 0:
-            raise ValueError(f"A_plate must be > 0, got {self.A_plate}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"self-inductance must be finite and > 0, got {self.L}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"separation must be finite and > 0, got {self.a}")
+        if not (math.isfinite(self.A_plate) and self.A_plate > 0):
+            raise ValueError(f"A_plate must be finite and > 0, got {self.A_plate}")
+        if not (math.isfinite(self.phi_sq_bar) and self.phi_sq_bar >= 0):
+            raise ValueError(f"phi_sq_bar must be finite and >= 0, got {self.phi_sq_bar}")
 
     def capacitance(self, omega: float, a: float | None = None) -> float:
         a = self.a if a is None else a

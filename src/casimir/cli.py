@@ -327,7 +327,7 @@ def _crosscheck_rows(tol: Tolerance, suite: str) -> list[dict]:
         relative=False,
     )
     for k in (1.0, 5.0, 20.0):
-        w = dispersion.dispersive_mode_solve(model, k, tol)
+        w = dispersion.dispersive_mode_solve(model, k)
         check(
             f"mode_residual@k={k:g}",
             math.sqrt(dispersion.eps_of_omega(model, w)) * w,

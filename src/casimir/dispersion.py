@@ -17,6 +17,14 @@ and monotone,
 decreasing from eps_bar at zeta = 0 to 1 at high frequency, and all
 energy integrals are evaluated there.
 
+With x = omega^2 the mode condition k^2 = omega^2 eps(omega) is the
+quadratic x^2 - b x + k^2 omega0^2 = 0, b = eps_bar omega0^2 + k^2.  Its
+larger root x+ = (b + disc)/2, with the cancellation-free
+disc^2 = (k^2 - omega0^2)^2 + (eps_bar - 1) omega0^2 ((eps_bar + 1) omega0^2 + 2 k^2),
+gives both branches with no root solve: omega = sqrt(x+) above the gap
+and omega = k omega0/sqrt(x+) below (x- x+ = k^2 omega0^2; forming
+x- = (b - disc)/2 directly would lose every digit at small k).
+
 Both halves of the rotated spectral density equal -eps zeta^2/(kappa d)
 (see casimir.green_em), and k dk = kappa dkappa closes the k integral,
 
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, find_root
+from .engine import Tolerance, DEFAULT_TOL, adaptive_quad
 from .matsubara import CavityConfig, EnergyValue
 
 __all__ = [
@@ -82,8 +90,8 @@ class CutoffSpec:
     exclusion_halfwidth: float = DEFAULT_RESONANCE_HALFWIDTH
 
     def __post_init__(self):
-        if not self.omega_max > 0:
-            raise ValueError("omega_max must be > 0")
+        if not (math.isfinite(self.omega_max) and self.omega_max > 0):
+            raise ValueError(f"omega_max must be finite and > 0, got {self.omega_max}")
         if not 0 < self.exclusion_halfwidth < 1:
             raise ValueError("exclusion_halfwidth must lie in (0, 1)")
 
@@ -111,57 +119,34 @@ def eps_imag_axis(model: LorentzModel, zeta: float) -> float:
     return 1.0 + (model.eps_bar - 1.0) / (1.0 + (zeta / model.omega0) ** 2)
 
 
-def dispersive_mode_solve(
-    model: LorentzModel, k: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Solve n(omega) omega = k for the lowest root, always in (0, omega0).
+def _upper_root(model: LorentzModel, k: float) -> float:
+    # x+ of the mode quadratic, in the cancellation-free form of the module docstring
+    w02 = model.omega0**2
+    k2 = k * k
+    disc = math.sqrt(
+        (k2 - w02) ** 2
+        + (model.eps_bar - 1.0) * w02 * ((model.eps_bar + 1.0) * w02 + 2.0 * k2)
+    )
+    return 0.5 * (model.eps_bar * w02 + k2 + disc)
+
+
+def dispersive_mode_solve(model: LorentzModel, k: float) -> float:
+    """Lowest root of n(omega) omega = k, always in (0, omega0].
 
     n(omega) omega is continuous and strictly increasing on (0, omega0),
     vanishing at 0 and diverging at the resonance, so the root exists and
     is unique; it connects continuously to the vacuum branch omega = k as
     eps_bar -> 1 (and for eps_bar = 1 exactly, omega = k is returned).
+    It is the smaller root x- = k^2 omega0^2 / x+ of the mode quadratic.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be > 0, got {k}")
     if model.eps_bar == 1.0:
         return k
-
-    def f(w: float) -> float:
-        return math.sqrt(_eps_real_unguarded(model, w)) * w - k
-
-    # expand the upper end geometrically toward the resonance until the
-    # bracket straddles the root
-    hi = model.omega0 * (1.0 - DEFAULT_RESONANCE_HALFWIDTH)
-    for _ in range(600):
-        if f(hi) > 0:
-            break
-        hi = model.omega0 - 0.25 * (model.omega0 - hi)
-    else:
-        raise ValueError(f"could not bracket a mode below omega0 for k={k}")
-    root_tol = Tolerance(rel=1e-15, abs=0.0, max_iter=tol.max_iter)
-    return find_root(f, (0.0, hi), root_tol)
+    return k * model.omega0 / math.sqrt(_upper_root(model, k))
 
 
-def _upper_branch_solve(model: LorentzModel, k: float, tol: Tolerance) -> float:
-    # root of n(omega) omega = k above the polariton gap, omega > omega0*sqrt(eps_bar),
-    # where 0 < eps < 1 and n -> 1 from below at high frequency
-    def f(w: float) -> float:
-        eps = _eps_real_unguarded(model, w)
-        return math.sqrt(max(eps, 0.0)) * w - k
-
-    lo = model.omega0 * math.sqrt(model.eps_bar)
-    hi = max(2.0 * lo, 1.5 * k)
-    for _ in range(200):
-        if f(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"could not bracket the upper photon branch for k={k}")
-    root_tol = Tolerance(rel=1e-15, abs=0.0, max_iter=tol.max_iter)
-    return find_root(f, (lo, hi), root_tol)
-
-
-def photon_index(model: LorentzModel, k: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def photon_index(model: LorentzModel, k: float) -> float:
     """Effective index n(k) = k/omega(k) on the photon branch: the
     below-resonance root for k <= omega0 and the above-gap root for
     k > omega0.
@@ -170,15 +155,17 @@ def photon_index(model: LorentzModel, k: float, tol: Tolerance = DEFAULT_TOL) ->
     the same wavenumber when the oscillator coupling is switched off, so
     n(k) -> sqrt(eps_bar) at low k and n(k) -> 1 at high k.  (The
     below-resonance root alone would give n(k) ~ k/omega0 at large k and
-    the mode sum would never reduce to its vacuum form.)
+    the mode sum would never reduce to its vacuum form.)  Both branches
+    are closed forms in x+: sqrt(x+)/omega0 below and k/sqrt(x+) above.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be > 0, got {k}")
     if model.eps_bar == 1.0:
         return 1.0
+    x_up = _upper_root(model, k)
     if k <= model.omega0:
-        return k / dispersive_mode_solve(model, k, tol)
-    return k / _upper_branch_solve(model, k, tol)
+        return math.sqrt(x_up) / model.omega0
+    return k / math.sqrt(x_up)
 
 
 def _w2_transverse_integral(zeta: float, eps_i: float, cfg: CavityConfig) -> float:

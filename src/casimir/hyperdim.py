@@ -34,7 +34,10 @@ of these densities only through an overall 1/n (replace c by c/n).
 under an exponential regulator e^(-lambda k_total); the value diverges
 like lambda^(-D) and is always reported together with lambda and a
 lambda-halving scan.  ``dispersive_hyper_energy`` replaces the constant
-1/n by 1/n(k) with n(k) from the mode condition n(omega) omega = k.
+1/n by 1/n(k) with n(k) the photon-branch index from the mode condition
+n(omega) omega = k, a closed form (see casimir.dispersion).  n(k) jumps
+across the polariton gap at k = omega0, so there each mode integral is
+split in two.
 """
 
 from __future__ import annotations
@@ -228,9 +231,12 @@ class CutoffEnergyResult:
     scan: tuple[tuple[float, float], ...]
 
 
-def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k) -> EnergyValue:
+def _mode_sum(
+    cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
+) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
-    # q = pi m / a, after substituting E = sqrt(k^2 + q^2).
+    # q = pi m / a, after substituting E = sqrt(k^2 + q^2); each integral is
+    # split at _split, where n(E) may jump, when that lies inside (q, inf).
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
@@ -244,10 +250,14 @@ def _mode_sum(cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k) -> EnergyVal
             base = (e * e - q * q) ** power if power != 0.0 else 1.0
             return base * e * e * math.exp(-lam * e) / n_of_k(e)
 
-        res = adaptive_quad(f, q, math.inf, quad_tol)
-        state["err"] += res.err_estimate
-        state["ok"] &= res.converged
-        return res.value
+        edges = (q, _split, math.inf) if q < _split < math.inf else (q, math.inf)
+        total = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            res = adaptive_quad(f, lo, hi, quad_tol)
+            state["err"] += res.err_estimate
+            state["ok"] &= res.converged
+            total += res.value
+        return total
 
     series = sum_series(term, start=1, tol=tol)
     return EnergyValue(
@@ -283,16 +293,12 @@ def dispersive_hyper_energy(
 ) -> EnergyValue:
     """Regulated mode energy with the dispersive photon relation: each
     mode of wavenumber k carries energy k/n(k) with n(k) the photon-branch
-    index from n(omega) omega = k.  Approaches cutoff_mode_energy with
-    n = 1 as the regulator probes only wavenumbers far above the
-    resonance."""
+    index from n(omega) omega = k, in closed form.  Each mode integral is
+    split at k = omega0, where n(k) jumps across the polariton gap.
+    Approaches cutoff_mode_energy with n = 1 as the regulator probes only
+    wavenumbers far above the resonance."""
     if not lam > 0:
         raise ValueError(f"cutoff lambda must be > 0, got {lam}")
     if cfg.n != 1.0:
         raise ValueError("dispersive_hyper_energy models the medium via n(k); set n = 1")
-    root_tol = Tolerance(rel=1e-13, abs=0.0, max_iter=tol.max_iter)
-
-    def n_of_k(k: float) -> float:
-        return photon_index(model, k, root_tol)
-
-    return _mode_sum(cfg, lam, tol, n_of_k)
+    return _mode_sum(cfg, lam, tol, lambda k: photon_index(model, k), _split=model.omega0)

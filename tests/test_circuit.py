@@ -45,6 +45,13 @@ class TestEigenfrequency:
             CircuitSpec(L=0.0)
         with pytest.raises(ValueError):
             CircuitSpec(L=1.0, a=-1.0)
+        for bad in (math.nan, math.inf):
+            for field in ("L", "a", "A_plate", "phi_sq_bar"):
+                with pytest.raises(ValueError):
+                    CircuitSpec(**{"L": 1.0, field: bad})
+        with pytest.raises(ValueError):
+            CircuitSpec(L=1.0, phi_sq_bar=-1.0)
+        CircuitSpec(L=1.0, phi_sq_bar=0.0)  # zero amplitude allowed
 
 
 class TestCircuitEnergy:

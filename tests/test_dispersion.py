@@ -25,6 +25,15 @@ OMEGA_K5 = math.sqrt((225.0 - math.sqrt(40625.0)) / 2.0)
 
 CFG0 = CavityConfig(a=1.0, T=0.0)
 
+# static permittivities from the vacuum edge to strong coupling
+BRANCH_EPS = (1.0 + 1e-12, 2.0, 4.0)
+
+
+def _mode_residual(model, w, k):
+    # |n(omega) omega - k| at the float omega; delta = 0 because the
+    # weak-coupling roots hug the resonance
+    return abs(math.sqrt(eps_of_omega(model, w, delta=0.0)) * w - k)
+
 
 class TestLorentzPermittivity:
     def test_static_and_high_frequency_limits(self):
@@ -67,10 +76,22 @@ class TestModeSolve:
         assert w == pytest.approx(OMEGA_K5, rel=1e-12)
         assert abs(w - 3.4237) < 1e-4
 
-    @pytest.mark.parametrize("k", [1.0, 2.0, 4.0, 8.0])
-    def test_residual(self, k):
-        w = dispersive_mode_solve(MODEL, k)
-        assert abs(math.sqrt(eps_of_omega(MODEL, w)) * w - k) <= 1e-10 * k
+    # k from omega0*1e-6 up to omega0, where the lower root is the photon
+    # branch; above it the root hugs omega0 and its float residual is
+    # amplified by 1/(1 - omega^2/omega0^2)
+    @pytest.mark.parametrize(
+        "model, k",
+        [pytest.param(MODEL, k, id=f"{k}") for k in (1.0, 2.0, 4.0, 8.0)]
+        + [
+            pytest.param(LorentzModel(eb, 10.0), 10.0 ** (1 + j / 2), id=f"eps{eb!r}-k1e{j / 2:g}w0")
+            for eb in BRANCH_EPS
+            for j in range(-12, 1)
+        ],
+    )
+    def test_residual(self, model, k):
+        w = dispersive_mode_solve(model, k)
+        assert 0.0 < w <= k
+        assert _mode_residual(model, w, k) <= 1e-13 * k
 
     def test_static_limit(self):
         # k -> 0: omega -> k/sqrt(eps_bar)
@@ -83,6 +104,9 @@ class TestModeSolve:
 
     def test_root_stays_below_resonance(self):
         assert dispersive_mode_solve(MODEL, 500.0) < MODEL.omega0
+        # vanishing coupling: the root sits on omega0 itself
+        w = dispersive_mode_solve(LorentzModel(1.0 + 1e-12, 1.0), 500.0)
+        assert math.isfinite(w) and 0.0 < w <= 1.0
 
     def test_vacuum_branch(self):
         assert dispersive_mode_solve(LorentzModel(1.0, 10.0), 37.5) == 37.5
@@ -97,6 +121,19 @@ class TestPhotonIndex:
         m = LorentzModel(eps_bar=2.0, omega0=1.0)
         assert photon_index(m, 1e-3) == pytest.approx(math.sqrt(2.0), rel=1e-5)
         assert photon_index(m, 1e3) == pytest.approx(1.0, rel=1e-5)
+        # k^2 underflows: the static index, not 0/0
+        assert photon_index(m, 1e-300) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        for eb in BRANCH_EPS:
+            model = LorentzModel(eb, 3.0)
+            for j in range(-12, 13):
+                k = 3.0 * 10 ** (j / 2)
+                w = k / photon_index(model, k)
+                # below the resonance up to k = omega0, above the gap after it
+                if k <= 3.0:
+                    assert w <= 3.0, (eb, k, w)
+                else:
+                    assert w >= 3.0 * math.sqrt(eb) * (1.0 - 1e-15), (eb, k, w)
+                assert _mode_residual(model, w, k) <= 1e-13 * k, (eb, k, w)
 
     def test_gap_jump(self):
         # crossing k = omega0 hops the polariton gap: n > 1 below, n < 1 above
@@ -188,7 +225,9 @@ class TestW2Cutoff:
         assert two.value.value == pytest.approx(2.0 * one.value.value, rel=1e-14)
 
     def test_cutoff_spec_validation(self):
-        with pytest.raises(ValueError):
-            CutoffSpec(omega_max=0.0)
-        with pytest.raises(ValueError):
-            CutoffSpec(omega_max=1.0, exclusion_halfwidth=1.5)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CutoffSpec(omega_max=bad)
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CutoffSpec(omega_max=1.0, exclusion_halfwidth=bad)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from casimir.engine import Tolerance
@@ -173,7 +174,57 @@ class TestCutoffModeSum:
             cutoff_mode_energy(HyperConfig(dim=4), 0.0)
 
 
+def _dispersive_reference(D, a, eps_bar, omega0, lam):
+    """20-digit mode sum with the photon branch read off the quadratic
+    x^2 - (eps_bar w0^2 + E^2) x + E^2 w0^2 = 0 (x = omega^2, lower root
+    for E <= omega0, upper above), each mode integral split at omega0."""
+    with mpmath.workdps(20):
+        a, eps_bar, w0, lam = (mpmath.mpf(x) for x in (a, eps_bar, omega0, lam))
+        d = D - 1
+        nu = mpmath.mpf(d - 3) / 2
+        a_d = 2 * mpmath.pi ** ((d - 1) / mpmath.mpf(2)) / mpmath.gamma((d - 1) / mpmath.mpf(2))
+        a_d /= (2 * mpmath.pi) ** (d - 1)
+
+        def term(m):
+            q = mpmath.pi * m / a
+
+            def f(e):
+                b = eps_bar * w0**2 + e * e
+                disc = mpmath.sqrt(b * b - 4 * e * e * w0**2)
+                x = (b - disc) / 2 if e <= w0 else (b + disc) / 2
+                return (e * e - q * q) ** nu * e * mpmath.sqrt(x) * mpmath.exp(-lam * e)
+
+            return mpmath.quad(f, [q, w0, mpmath.inf] if q < w0 else [q, mpmath.inf])
+
+        total, m = mpmath.mpf(0), 1
+        while True:
+            t = term(m)
+            total += t
+            if abs(t) < mpmath.mpf(10) ** -18 * abs(total):
+                return float(a_d * total)
+            m += 1
+
+
 class TestDispersiveModeSum:
+    # (D, a, eps_bar, omega0, lambda) with omega0 inside the first mode's
+    # range; without the split at omega0 the D = 4 value missed its own
+    # err_estimate (1.3e-12 vs 4.0e-13 relative) and the D = 8 value was
+    # off by 1.3e-6
+    @pytest.mark.parametrize(
+        "D, a, eps_bar, omega0, lam",
+        [
+            (4, 1.08751, 1.82512, 3.68927, 0.757372),
+            (5, 0.839215, 2.10322, 4.79217, 0.583517),
+            (8, 1.11105, 1.81403, 3.60498, 0.780362),
+        ],
+    )
+    def test_matches_mpmath_reference(self, D, a, eps_bar, omega0, lam):
+        ev = dispersive_hyper_energy(HyperConfig(dim=D, a=a), LorentzModel(eps_bar, omega0), lam)
+        ref = _dispersive_reference(D, a, eps_bar, omega0, lam)
+        assert ev.converged
+        assert abs(ev.value - ref) <= ev.err_estimate, (ev, ref)
+        assert abs(ev.value - ref) <= 1e-10 * abs(ref), (ev, ref)
+
     def test_vacuum_model_reduces_exactly(self):
         cfg = HyperConfig(dim=4)
         vac = cutoff_mode_energy(cfg, 0.5).value.value
