@@ -23,7 +23,8 @@ larger root x+ = (b + disc)/2, with the cancellation-free
 disc^2 = (k^2 - omega0^2)^2 + (eps_bar - 1) omega0^2 ((eps_bar + 1) omega0^2 + 2 k^2),
 gives both branches with no root solve: omega = sqrt(x+) above the gap
 and omega = k omega0/sqrt(x+) below (x- x+ = k^2 omega0^2; forming
-x- = (b - disc)/2 directly would lose every digit at small k).
+x- = (b - disc)/2 directly would lose every digit at small k).  x+ is
+formed in units of max(k, omega0)^2, so no square overflows.
 
 Both halves of the rotated spectral density equal -eps zeta^2/(kappa d)
 (see casimir.green_em), and k dk = kappa dkappa closes the k integral,
@@ -119,15 +120,18 @@ def eps_imag_axis(model: LorentzModel, zeta: float) -> float:
     return 1.0 + (model.eps_bar - 1.0) / (1.0 + (zeta / model.omega0) ** 2)
 
 
-def _upper_root(model: LorentzModel, k: float) -> float:
-    # x+ of the mode quadratic, in the cancellation-free form of the module docstring
-    w02 = model.omega0**2
-    k2 = k * k
-    disc = math.sqrt(
-        (k2 - w02) ** 2
-        + (model.eps_bar - 1.0) * w02 * ((model.eps_bar + 1.0) * w02 + 2.0 * k2)
-    )
-    return 0.5 * (model.eps_bar * w02 + k2 + disc)
+def _photon_jump(model: LorentzModel) -> float:
+    # wavenumber where photon_index jumps across the polariton gap; inf without a gap
+    return model.omega0 if model.eps_bar > 1.0 else math.inf
+
+
+def _scaled_upper_root(model: LorentzModel, k: float) -> float:
+    # x+ / s^2 with s = max(k, omega0), in the cancellation-free form of the
+    # module docstring; the scaling keeps every square in [0, 1]
+    s = max(k, model.omega0)
+    kk, w, e = k / s, model.omega0 / s, model.eps_bar
+    coupling = w * math.sqrt((e - 1.0) * ((e + 1.0) * w * w + 2.0 * kk * kk))
+    return 0.5 * (e * w * w + kk * kk + math.hypot(kk * kk - w * w, coupling))
 
 
 def dispersive_mode_solve(model: LorentzModel, k: float) -> float:
@@ -143,7 +147,7 @@ def dispersive_mode_solve(model: LorentzModel, k: float) -> float:
         raise ValueError(f"wavenumber k must be > 0, got {k}")
     if model.eps_bar == 1.0:
         return k
-    return k * model.omega0 / math.sqrt(_upper_root(model, k))
+    return min(k, model.omega0) / math.sqrt(_scaled_upper_root(model, k))
 
 
 def photon_index(model: LorentzModel, k: float) -> float:
@@ -162,10 +166,8 @@ def photon_index(model: LorentzModel, k: float) -> float:
         raise ValueError(f"wavenumber k must be > 0, got {k}")
     if model.eps_bar == 1.0:
         return 1.0
-    x_up = _upper_root(model, k)
-    if k <= model.omega0:
-        return math.sqrt(x_up) / model.omega0
-    return k / math.sqrt(x_up)
+    root = math.sqrt(_scaled_upper_root(model, k))
+    return root if k <= _photon_jump(model) else 1.0 / root
 
 
 def _w2_transverse_integral(zeta: float, eps_i: float, cfg: CavityConfig) -> float:

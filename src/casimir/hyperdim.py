@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import EnergyValue
-from .dispersion import LorentzModel, photon_index
+from .dispersion import LorentzModel, _photon_jump, photon_index
 
 __all__ = [
     "HyperConfig",
@@ -235,8 +235,9 @@ def _mode_sum(
     cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
 ) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
-    # q = pi m / a, after substituting E = sqrt(k^2 + q^2); each integral is
-    # split at _split, where n(E) may jump, when that lies inside (q, inf).
+    # q = pi m / a, after substituting E = sqrt(k^2 + q^2).  It runs over t in
+    # (0, 1) with E = q + t/(1-t), adaptive_quad's map of (q, inf), split at the
+    # t of _split (where n(E) may jump) so that both pieces keep nodes near q.
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
@@ -246,18 +247,20 @@ def _mode_sum(
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
 
-        def f(e: float) -> float:
+        def g(t: float) -> float:
+            u = 1.0 - t
+            if u == 0.0:  # a node of a panel next to t = 1 rounded onto E = inf
+                return 0.0
+            e = q + t / u
             base = (e * e - q * q) ** power if power != 0.0 else 1.0
-            return base * e * e * math.exp(-lam * e) / n_of_k(e)
+            return base * e * e * math.exp(-lam * e) / n_of_k(e) / (u * u)
 
-        edges = (q, _split, math.inf) if q < _split < math.inf else (q, math.inf)
-        total = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            res = adaptive_quad(f, lo, hi, quad_tol)
-            state["err"] += res.err_estimate
-            state["ok"] &= res.converged
-            total += res.value
-        return total
+        t_split = (_split - q) / (1.0 + _split - q) if q < _split < math.inf else 0.0
+        edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
+        pieces = [adaptive_quad(g, lo, hi, quad_tol) for lo, hi in zip(edges, edges[1:])]
+        state["err"] += sum(p.err_estimate for p in pieces)
+        state["ok"] &= all(p.converged for p in pieces)
+        return sum(p.value for p in pieces)
 
     series = sum_series(term, start=1, tol=tol)
     return EnergyValue(
@@ -301,4 +304,4 @@ def dispersive_hyper_energy(
         raise ValueError(f"cutoff lambda must be > 0, got {lam}")
     if cfg.n != 1.0:
         raise ValueError("dispersive_hyper_energy models the medium via n(k); set n = 1")
-    return _mode_sum(cfg, lam, tol, lambda k: photon_index(model, k), _split=model.omega0)
+    return _mode_sum(cfg, lam, tol, lambda k: photon_index(model, k), _photon_jump(model))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -107,6 +108,8 @@ class TestModeSolve:
         # vanishing coupling: the root sits on omega0 itself
         w = dispersive_mode_solve(LorentzModel(1.0 + 1e-12, 1.0), 500.0)
         assert math.isfinite(w) and 0.0 < w <= 1.0
+        # k/omega0 = 1e200: the root sits on omega0
+        assert dispersive_mode_solve(LorentzModel(2.0, 1e-200), 1.0) == pytest.approx(1e-200, rel=1e-15)
 
     def test_vacuum_branch(self):
         assert dispersive_mode_solve(LorentzModel(1.0, 10.0), 37.5) == 37.5
@@ -123,17 +126,21 @@ class TestPhotonIndex:
         assert photon_index(m, 1e3) == pytest.approx(1.0, rel=1e-5)
         # k^2 underflows: the static index, not 0/0
         assert photon_index(m, 1e-300) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        for eb in BRANCH_EPS:
-            model = LorentzModel(eb, 3.0)
+        # at omega0 = 3e-200 and 3e200 the unscaled omega0^2 or k^2 under- or overflows
+        for w0, eb in itertools.product((3e-200, 3.0, 3e200), BRANCH_EPS):
+            model = LorentzModel(eb, w0)
             for j in range(-12, 13):
-                k = 3.0 * 10 ** (j / 2)
+                k = w0 * 10 ** (j / 2)
                 w = k / photon_index(model, k)
                 # below the resonance up to k = omega0, above the gap after it
-                if k <= 3.0:
-                    assert w <= 3.0, (eb, k, w)
+                if k <= w0:
+                    assert w <= w0, (w0, eb, k, w)
                 else:
-                    assert w >= 3.0 * math.sqrt(eb) * (1.0 - 1e-15), (eb, k, w)
-                assert _mode_residual(model, w, k) <= 1e-13 * k, (eb, k, w)
+                    assert w >= w0 * math.sqrt(eb) * (1.0 - 1e-15), (w0, eb, k, w)
+                assert _mode_residual(model, w, k) <= 1e-13 * k, (w0, eb, k, w)
+        # k/omega0 = 1e200 and 1e-200: the vacuum and the static index
+        assert photon_index(LorentzModel(2.0, 1e-200), 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert photon_index(LorentzModel(2.0, 1e200), 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_gap_jump(self):
         # crossing k = omega0 hops the polariton gap: n > 1 below, n < 1 above

@@ -225,6 +225,16 @@ class TestDispersiveModeSum:
         assert abs(ev.value - ref) <= ev.err_estimate, (ev, ref)
         assert abs(ev.value - ref) <= 1e-10 * abs(ref), (ev, ref)
 
+    @pytest.mark.parametrize("omega0", [1e6, 1e15, 1e100])
+    def test_stiff_medium_sees_static_index(self, omega0):
+        # omega0 far above every wavenumber the regulator weighs: n(k) is
+        # sqrt(eps_bar) up to (k/omega0)^2, however far out the split lies
+        cfg = HyperConfig(dim=4)
+        ev = dispersive_hyper_energy(cfg, LorentzModel(2.0, omega0), 0.5)
+        static = cutoff_mode_energy(HyperConfig(dim=4, n=math.sqrt(2.0)), 0.5).value
+        assert ev.converged
+        assert abs(ev.value - static.value) <= 1e-9 * abs(static.value), (ev, static)
+
     def test_vacuum_model_reduces_exactly(self):
         cfg = HyperConfig(dim=4)
         vac = cutoff_mode_energy(cfg, 0.5).value.value
