@@ -4,8 +4,10 @@ self-inductance L so stationary oscillations exist (no resistance, since
 dissipation is neglected throughout).
 
 The eigenfrequency solves omega = 1/sqrt(L C(omega)) with
-C(omega, a) = (A_plate/a) eps(omega), and the time-averaged circuit
-energy of a nearly monochromatic oscillation is
+C(omega, a) = (A_plate/a) eps(omega).  That is the mode condition
+omega^2 eps(omega) = k^2 at k = 1/sqrt(L A_plate/a), so it is the closed
+form dispersion.dispersive_mode_solve, with no bracket and no root solve.
+The time-averaged circuit energy of a nearly monochromatic oscillation is
 
     W_circ = (1/(2 omega)) d(omega^2 C)/d omega * phi_sq_bar
            = (C + omega C'/2) phi_sq_bar,
@@ -29,8 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .engine import Tolerance, DEFAULT_TOL, find_root
-from .dispersion import LorentzModel, DEFAULT_RESONANCE_HALFWIDTH, _eps_real_unguarded
+from .dispersion import (
+    LorentzModel,
+    DEFAULT_RESONANCE_HALFWIDTH,
+    _eps_real_unguarded,
+    dispersive_mode_solve,
+)
 
 __all__ = ["CircuitSpec", "CircuitEnergy", "eigenfrequency", "circuit_energy",
            "adiabatic_variation_check"]
@@ -83,49 +89,35 @@ class CircuitEnergy:
     dC_domega: float
 
 
-def eigenfrequency(spec: CircuitSpec, tol: Tolerance = DEFAULT_TOL) -> float:
+def eigenfrequency(spec: CircuitSpec) -> float:
     """Lowest positive root of omega^2 L C(omega) = 1.
 
     omega^2 L C(omega) is strictly increasing below the resonance, so the
-    root is unique there; the bracket stops at omega0(1 - delta) and a
-    missing sign change (root pushed into the resonance zone) is an error.
+    root is unique there; it is the lower mode root at
+    k = 1/sqrt(L C0), and a root at or above omega0(1 - delta) (pushed
+    into the resonance zone) is an error.
     """
-
-    def f(w: float) -> float:
-        return w * w * spec.L * spec.capacitance(w) - 1.0
-
+    k = 1.0 / (math.sqrt(spec.L) * math.sqrt(spec.A_plate / spec.a))  # L C0 may overflow
     if spec.eps_model is None:
-        hi = 2.0 / math.sqrt(spec.L * spec.capacitance(0.0))
-        for _ in range(200):
-            if f(hi) > 0:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("could not bracket the circuit eigenfrequency")
-    else:
-        hi = spec.eps_model.omega0 * (1.0 - DEFAULT_RESONANCE_HALFWIDTH)
-        if f(hi) <= 0:
-            raise ValueError(
-                "no eigenfrequency below the resonance zone for this L and C"
-            )
-    root_tol = Tolerance(rel=1e-15, abs=0.0, max_iter=tol.max_iter)
-    return find_root(f, (0.0, hi), root_tol)
+        return k
+    w = dispersive_mode_solve(spec.eps_model, k)
+    if w >= spec.eps_model.omega0 * (1.0 - DEFAULT_RESONANCE_HALFWIDTH):
+        raise ValueError("no eigenfrequency below the resonance zone for this L and C")
+    return w
 
 
-def circuit_energy(spec: CircuitSpec, tol: Tolerance = DEFAULT_TOL) -> CircuitEnergy:
+def circuit_energy(spec: CircuitSpec) -> CircuitEnergy:
     """Averaged circuit energy (1/(2 omega)) d(omega^2 C)/d omega * phi^2
     at the solved eigenfrequency, with the capacitance derivative taken
     analytically from the Lorentz form."""
-    w = eigenfrequency(spec, tol)
+    w = eigenfrequency(spec)
     c = spec.capacitance(w)
     dc = spec.dC_domega(w)
     value = (c + 0.5 * w * dc) * spec.phi_sq_bar
     return CircuitEnergy(value=value, omega_star=w, dC_domega=dc)
 
 
-def adiabatic_variation_check(
-    spec: CircuitSpec, delta_a_rel: float, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float, float]:
+def adiabatic_variation_check(spec: CircuitSpec, delta_a_rel: float) -> tuple[float, float]:
     """Both sides of the adiabatic energy balance for a -> a(1 + delta).
 
     lhs: W_circ * delta omega / omega with delta omega from re-solving the
@@ -139,10 +131,10 @@ def adiabatic_variation_check(
     """
     if not 0 < delta_a_rel < 1:
         raise ValueError("delta_a_rel must lie in (0, 1)")
-    w1 = eigenfrequency(spec, tol)
-    energy = circuit_energy(spec, tol)
+    energy = circuit_energy(spec)
+    w1 = energy.omega_star
     moved = replace(spec, a=spec.a * (1.0 + delta_a_rel))
-    w2 = eigenfrequency(moved, tol)
+    w2 = eigenfrequency(moved)
     lhs = energy.value * (w2 - w1) / w1
     dc_static = spec.capacitance(w1, a=spec.a * (1.0 + delta_a_rel)) - spec.capacitance(w1)
     rhs = -0.5 * spec.phi_sq_bar * dc_static

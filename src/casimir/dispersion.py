@@ -83,18 +83,15 @@ class LorentzModel:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Hard frequency cutoff for the divergent W_II integral, plus the
-    relative half-width of the excluded resonance zone used by any
-    real-axis evaluation."""
+    """Hard frequency cutoff for the divergent W_II integral (finite,
+    > 0).  W_II is integrated on the imaginary axis, so no resonance
+    zone needs excluding."""
 
     omega_max: float
-    exclusion_halfwidth: float = DEFAULT_RESONANCE_HALFWIDTH
 
     def __post_init__(self):
         if not (math.isfinite(self.omega_max) and self.omega_max > 0):
             raise ValueError(f"omega_max must be finite and > 0, got {self.omega_max}")
-        if not 0 < self.exclusion_halfwidth < 1:
-            raise ValueError("exclusion_halfwidth must lie in (0, 1)")
 
 
 def _eps_real_unguarded(model: LorentzModel, omega: float) -> float:

@@ -1,5 +1,5 @@
-"""Generic numerical kernel: adaptive quadrature, series summation,
-bracketed root finding, and Richardson-extrapolated central differences.
+"""Generic numerical kernel: adaptive quadrature, series summation and
+Richardson-extrapolated central differences.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so all routines are safe to call concurrently.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,11 +27,8 @@ __all__ = [
     "DEFAULT_TOL",
     "adaptive_quad",
     "sum_series",
-    "find_root",
     "finite_diff",
 ]
-
-_EPS = sys.float_info.epsilon
 
 # Fixed-order interior rule used on every panel: the 15-point
 # Gauss-Legendre rule on [-1, 1], stored as its 8 (node, weight) pairs
@@ -218,68 +214,6 @@ def _tail_bound(last: float, prev: float) -> float:
         r = last / prev
         return last * r / (1.0 - r)
     return last
-
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Brent's method on a sign-changing bracket.
-
-    Raises ValueError when f does not change sign over the bracket and
-    RuntimeError when tol.max_iter iterations do not shrink the interval
-    to 2*eps*|x| + tol.abs (the absolute floor drives the stop, so the
-    relative-width condition tol.rel*|x| is met a fortiori for any root
-    away from zero).
-    """
-    a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise ValueError(f"bracket ({a}, {b}) does not straddle a root: f={fa}, {fb}")
-
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(tol.max_iter):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol.abs
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) < tol1 or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            else:
-                p = -p
-            s, e = e, d
-            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-    raise RuntimeError(f"find_root did not converge in {tol.max_iter} iterations")
 
 
 def finite_diff(f: Callable[[float], float], x: float, h: float) -> NumericResult:

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 from casimir.engine import finite_diff
-from casimir.dispersion import LorentzModel
+from casimir.dispersion import LorentzModel, DEFAULT_RESONANCE_HALFWIDTH
 from casimir.circuit import CircuitSpec, eigenfrequency, circuit_energy, adiabatic_variation_check
 
 MODEL = LorentzModel(eps_bar=2.0, omega0=10.0)
@@ -16,12 +17,54 @@ OMEGA_STAR = math.sqrt(X_STAR)
 W_CIRC = 2.0100501249992188
 
 
+def _mp_eigenfrequency(L, a, A_plate, eps_bar, omega0):
+    # smaller root of x^2 - (eps_bar omega0^2 + k^2) x + k^2 omega0^2 = 0,
+    # x = omega^2, k^2 = a/(L A_plate), in 40-digit arithmetic
+    with mpmath.workdps(40):
+        k2 = mpmath.mpf(a) / (mpmath.mpf(L) * mpmath.mpf(A_plate))
+        w2 = mpmath.mpf(omega0) ** 2
+        b = mpmath.mpf(eps_bar) * w2 + k2
+        return float(mpmath.sqrt((b - mpmath.sqrt(b * b - 4 * k2 * w2)) / 2))
+
+
 class TestEigenfrequency:
     def test_nondispersive(self):
         assert eigenfrequency(CircuitSpec(L=4.0)) == pytest.approx(0.5, rel=1e-13)
+        # omega = sqrt(a/(L A_plate)) = sqrt(9/(4 * 0.25))
+        assert eigenfrequency(CircuitSpec(L=4.0, a=9.0, A_plate=0.25)) == pytest.approx(
+            3.0, rel=1e-13
+        )
+        # L C0 = 1e400 overflows a double, the eigenfrequency 1e-200 does not
+        assert eigenfrequency(CircuitSpec(L=1e200, A_plate=1e200)) == pytest.approx(
+            1e-200, rel=1e-14, abs=0.0
+        )
 
-    def test_dispersive_oracle(self):
-        assert eigenfrequency(DISPERSIVE) == pytest.approx(OMEGA_STAR, rel=1e-12)
+    @pytest.mark.parametrize(
+        "L,a,A_plate,eps_bar,omega0",
+        [
+            (1.0, 1.0, 1.0, 2.0, 10.0),
+            (1e4, 1e-2, 1e3, 6.0, 1e-3),
+            (1e6, 1e-3, 1e6, 1.0 + 1e-12, 1e-3),
+            (3e-3, 2e2, 7e1, 2.0, 10.0),  # root at 0.947 omega0, next to the zone
+            (1e-2, 10.0, 1e-1, 1.0 + 1e-12, 1e3),
+            (1e-7, 0.3, 5.0, 6.0, 1e3),
+        ],
+    )
+    def test_dispersive_oracle(self, L, a, A_plate, eps_bar, omega0):
+        spec = CircuitSpec(L=L, a=a, A_plate=A_plate, eps_model=LorentzModel(eps_bar, omega0))
+        ref = _mp_eigenfrequency(L, a, A_plate, eps_bar, omega0)
+        assert eigenfrequency(spec) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_resonance_zone_boundary(self):
+        # the root sits at omega0 (1 - delta) = 9.5 when k^2 = x eps(sqrt x),
+        # x = 9.5^2; a slightly larger L moves it below, a smaller one above
+        edge = MODEL.omega0 * (1.0 - DEFAULT_RESONANCE_HALFWIDTH)
+        x = edge * edge
+        L_edge = 1.0 / (x * (1.0 + (MODEL.eps_bar - 1.0) / (1.0 - x / MODEL.omega0**2)))
+        w = eigenfrequency(CircuitSpec(L=L_edge * (1.0 + 1e-9), eps_model=MODEL))
+        assert edge * (1.0 - 1e-8) < w < edge
+        with pytest.raises(ValueError):
+            eigenfrequency(CircuitSpec(L=L_edge * (1.0 - 1e-9), eps_model=MODEL))
 
     def test_large_inductance_limit(self):
         # omega* -> 1/sqrt(L eps_bar C0) when the root sinks far below omega0

@@ -105,12 +105,28 @@ class TestExitCodes:
         assert code == 1
         assert parse_csv(out)[0]["converged"] == "false"
 
-    def test_root_solve_failure_exits_one(self, capsys):
-        code = main(["circuit", "--max-iter", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["free-energy", "--a", "1e-120"],  # ZeroDivisionError
+            ["internal-energy", "--T", "1e300"],  # OverflowError
+            ["pressure", "--T", "0", "--D", "400"],  # OverflowError
+        ],
+    )
+    def test_arithmetic_failure_exits_one(self, capsys, argv):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_iteration_budget_does_not_touch_circuit(self, capsys):
+        # the eigenfrequency is a closed form, so no iteration budget applies
+        code, plain = run_cli(["circuit"], capsys)
+        assert code == 0
+        code, capped = run_cli(["circuit", "--max-iter", "2"], capsys)
+        assert code == 0
+        assert capped == plain
 
     def test_finite_T_pressure_needs_D4(self, capsys):
         code, _ = run_cli(["pressure", "--T", "1", "--D", "5"], capsys)
@@ -214,8 +230,11 @@ class TestDispersiveAndCircuitCommands:
 
 
 class TestCrosscheck:
-    def test_fast_suite_passes(self, capsys):
-        code, out = run_cli(["crosscheck", "--suite", "fast"], capsys)
+    def test_all_suite_passes(self, capsys):
+        code, out = run_cli(["crosscheck", "--suite", "all"], capsys)
         assert code == 0
         rows = parse_csv(out)
         assert rows and all(r["passed"] == "true" for r in rows)
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", "--suite", "fast"])
+        assert exc.value.code == 2

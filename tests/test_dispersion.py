@@ -235,6 +235,3 @@ class TestW2Cutoff:
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 CutoffSpec(omega_max=bad)
-        for bad in (1.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                CutoffSpec(omega_max=1.0, exclusion_halfwidth=bad)

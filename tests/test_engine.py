@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 import casimir
-from casimir.engine import Tolerance, adaptive_quad, sum_series, find_root, finite_diff
+from casimir.engine import Tolerance, adaptive_quad, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
@@ -157,49 +157,6 @@ class TestSumSeries:
         res = sum_series(lambda m: math.exp(-m), 1, tol)
         assert res.converged
         assert res.err_estimate <= max(tol.rel * abs(res.value), tol.abs)
-
-
-class TestFindRoot:
-    def test_sqrt2(self):
-        assert find_root(lambda x: x * x - 2.0, (1.0, 2.0)) == pytest.approx(
-            math.sqrt(2.0), rel=1e-12
-        )
-
-    def test_cosine(self):
-        assert find_root(math.cos, (1.0, 2.0)) == pytest.approx(math.pi / 2, rel=1e-12)
-
-    def test_quadratic_oracle(self):
-        # root of x(2 - x/100) - 1: quadratic formula (200 - sqrt(39600))/2
-        root = find_root(lambda x: x * (2.0 - x / 100.0) - 1.0, (0.0, 1.0))
-        assert root == pytest.approx((200.0 - math.sqrt(39600.0)) / 2.0, rel=1e-12)
-
-    def test_circuit_eigenvalue_equation(self):
-        # x = omega^2 of the dispersive LC example: x(2 - x/100) = 1 - x/100,
-        # i.e. x^2 - 201 x + 100 = 0 with lowest root (201 - sqrt(40001))/2
-        f = lambda x: x * (2.0 - x / 100.0) - (1.0 - x / 100.0)
-        root = find_root(f, (0.0, 1.0))
-        assert root == pytest.approx((201.0 - math.sqrt(40001.0)) / 2.0, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "f,fprime,bracket",
-        [
-            (lambda x: x * x - 2.0, lambda x: 2 * x, (1.0, 2.0)),
-            (math.cos, lambda x: -math.sin(x), (1.0, 2.0)),
-            (lambda x: x * (2.0 - x / 100.0) - 1.0, lambda x: 2.0 - x / 50.0, (0.0, 1.0)),
-        ],
-    )
-    def test_residual_bound(self, f, fprime, bracket):
-        tol = Tolerance()
-        root = find_root(f, bracket, tol)
-        assert abs(f(root)) < 10.0 * tol.abs * max(1.0, abs(fprime(root) * root))
-
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            find_root(lambda x: x * x + 1.0, (0.0, 1.0))
-
-    def test_iteration_budget(self):
-        with pytest.raises(RuntimeError):
-            find_root(lambda x: x - 0.123456, (0.0, 1.0), Tolerance(max_iter=2))
 
 
 class TestFiniteDiff:
