@@ -3,7 +3,9 @@ density profile table, and the route cross-check suite, emitted as CSV or
 JSON for offline consumption (no plotting here).
 
 Numbers are printed with 17 significant digits so a double round-trips
-exactly; identical invocations produce byte-identical output.  Exit codes:
+exactly; identical invocations produce byte-identical output.  JSON
+output writes a non-finite number as null (CSV keeps inf/nan), so it is
+always valid JSON.  Exit codes:
 0 success, 1 numerical failure (non-convergence: rows still emitted,
 flagged; an arithmetic error such as division by zero or overflow: no
 rows, an error line on stderr), 2 usage error.
@@ -24,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .engine import Tolerance
+from .engine import Tolerance, finite_diff
 from . import matsubara, green_em, dispersion, circuit as circuit_mod, hyperdim
 from .matsubara import CavityConfig
 from .dispersion import LorentzModel, CutoffSpec
@@ -123,12 +125,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_value(x):
+    # JSON has no NaN or Infinity: a non-finite float is written as null
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _render(rows: list[dict], fmt: str) -> str:
     if not rows:
         return ""
     keys = list(rows[0].keys())
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
@@ -273,6 +281,12 @@ def _crosscheck_rows(tol: Tolerance) -> list[dict]:
             matsubara.internal_energy_direct(cfg, tol).value,
             1e-6,
         )
+    for naT in (0.3, 1.0, 2.0):
+        cfg = CavityConfig(a=1.0, T=naT)
+        dF = finite_diff(
+            lambda a: matsubara.free_energy(CavityConfig(a=a, T=naT), tol).value, 1.0, 6.0e-6
+        )
+        check(f"P=-dF/da@naT={naT:g}", -dF.value, matsubara.pressure(cfg, tol).value, 1e-8)
     for naT in (0.3, 1.0, 2.0, 5.0):
         cfg = CavityConfig(a=1.0, T=naT)
         check(
@@ -285,13 +299,6 @@ def _crosscheck_rows(tol: Tolerance) -> list[dict]:
     w_quad = green_em.em_energy_T0(cfg0, Tolerance(rel=1e-11, abs=0.0)).value
     check("W_T0_quad=closed", w_quad, matsubara.free_energy_T0(cfg0).value, 1e-8)
     check("W_T0_polar=quad", green_em.em_energy_T0_polar(cfg0, tol).value, w_quad, 1e-8)
-    cfg_half = CavityConfig(a=1.0, T=0.5)
-    check(
-        "W_inner_closed=quadrature@naT=0.5",
-        green_em.em_energy_finiteT(cfg_half, tol, inner="closed").value,
-        green_em.em_energy_finiteT(cfg_half, tol, inner="quadrature").value,
-        1e-10,
-    )
     for k_perp, zeta in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.1)):
         p = green_em.spectral_energy_density(k_perp, zeta, cfg0)
         check(f"E=H@(k={k_perp:g},z={zeta:g})", p.electric_half, p.magnetic_half, 1e-12)

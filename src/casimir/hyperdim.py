@@ -43,6 +43,7 @@ split in two.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
@@ -146,27 +147,28 @@ def pressure_quadrature(
 
 
 def pressure_closed(cfg: HyperConfig) -> EnergyValue:
-    """Closed-form pressure, no regularization needed."""
+    """Closed-form pressure (D-1) w1, no regularization needed."""
+    value = (cfg.D - 1) * _w1(cfg)
+    # the Gamma ratio rounds twice per factor, about D/2 factors
+    err = abs(value) * max(1e-14, cfg.D * sys.float_info.epsilon)
+    return EnergyValue(value, err, "closed_form")
+
+
+def _density_scale(cfg: HyperConfig) -> float:
+    # -(D-2) Gamma(D/2) / ((4 pi)^(D/2) n a^D), the factor shared by w1 and w2.
+    # Gamma(x)/(4 pi)^x by the recurrence R(x) = (x - 1)/(4 pi) R(x - 1) from
+    # R(1/2) = 1/2 or R(1) = 1/(4 pi): it stays finite where Gamma(D/2) alone
+    # overflows (D >= 344).
     D = cfg.D
-    value = (
-        -(D - 2)
-        * (D - 1)
-        / cfg.n
-        * math.gamma(D / 2.0)
-        * riemann_zeta(float(D))
-        / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D)
-    )
-    return EnergyValue(value, abs(value) * 1e-14, "closed_form")
+    x, ratio = (0.5, 0.5) if D % 2 else (1.0, 1.0 / (4.0 * math.pi))
+    while x < D / 2.0:
+        ratio *= x / (4.0 * math.pi)
+        x += 1.0
+    return -(D - 2) * ratio / (cfg.n * cfg.a**D)
 
 
 def _w1(cfg: HyperConfig) -> float:
-    D = cfg.D
-    return (
-        -(D - 2)
-        * math.gamma(D / 2.0)
-        * riemann_zeta(float(D))
-        / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D * cfg.n)
-    )
+    return _density_scale(cfg) * riemann_zeta(float(cfg.D))
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,7 @@ def density_profile(cfg: HyperConfig, u_grid) -> DensityProfile:
     if coef == 0.0:
         w2 = tuple(0.0 for _ in u_grid)
     else:
-        pref = (
-            -(D - 2)
-            * math.gamma(D / 2.0)
-            / ((4.0 * math.pi) ** (D / 2.0) * cfg.a**D * cfg.n)
-            * coef
-        )
+        pref = _density_scale(cfg) * coef
         w2 = tuple(
             pref * (hurwitz_zeta(float(D), u) + hurwitz_zeta(float(D), 1.0 - u))
             for u in u_grid
@@ -217,7 +214,9 @@ def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     def a_w1(a: float) -> float:
         return a * _w1(HyperConfig(dim=cfg.dim, a=a, n=cfg.n))
 
-    res = finite_diff(a_w1, cfg.a, cfg.a * 6.0e-6)
+    # a w1 is a^(1-D) times a constant: at h = 1e-4 a the h^4 truncation
+    # (~D^4 h^4 / 480) sits below the rounding noise (~eps/h)
+    res = finite_diff(a_w1, cfg.a, cfg.a * 1.0e-4)
     fd = -res.value
     return ident, EnergyValue(fd, res.err_estimate + abs(fd) * 1e-12, "finite_difference")
 

@@ -7,7 +7,11 @@ T = 1/beta is a Matsubara sum over imaginary frequencies zeta_m = 2 pi m T,
     F = (1/(pi beta)) sum'_{m>=0} I(n zeta_m),
     I(x) = int_x^inf kappa ln(1 - e^(-2 kappa a)) dkappa,
 
-with the m = 0 term at half weight.  The internal energy
+with the m = 0 term at half weight.  The pressure P = -dF/da is the same
+sum with the a-derivative taken under it, I(x) replaced by
+-int_x^inf 2 kappa^2 / (e^(2 kappa a) - 1) dkappa (the lower limit does
+not depend on a); the finite difference of F in a is only a cross-check
+(casimir crosscheck).  The internal energy
 U = d(beta F)/d beta is computed by three independent routes that must
 agree:
 
@@ -121,22 +125,23 @@ def _log_kernel(kappa: float, a: float) -> float:
     return kappa * math.log1p(-math.exp(-2.0 * kappa * a))
 
 
-def _matsubara_integral(x: float, a: float, quad_tol: Tolerance):
-    return adaptive_quad(lambda k: _log_kernel(k, a), x, math.inf, quad_tol)
+def _da_kernel(kappa: float, a: float) -> float:
+    # -d/da of _log_kernel: -2 kappa^2 / (e^(2 kappa a) - 1), an exact 0
+    # past the exponential range.
+    arg = 2.0 * kappa * a
+    return -2.0 * kappa * kappa / math.expm1(arg) if arg < 709.0 else 0.0
 
 
-def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Free energy per unit area by the direct Matsubara sum; T > 0.
-
-    The T = 0 limit is served exactly by free_energy_T0.
-    """
-    if not cfg.T > 0:
-        raise ValueError("free_energy requires T > 0; use free_energy_T0 at T = 0")
+def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
+    """(T/pi) sum'_{m>=0} int_{n zeta_m}^inf kernel(kappa, a) dkappa, the
+    m = 0 term at half weight; the error estimate sums the series tail
+    bound and every quadrature's estimate."""
     quad_tol = Tolerance(rel=min(tol.rel, 1e-12), abs=0.0, max_iter=tol.max_iter)
     state = {"err": 0.0, "ok": True}
 
     def term(m: int) -> float:
-        res = _matsubara_integral(2.0 * math.pi * m * cfg.T * cfg.n, cfg.a, quad_tol)
+        x = 2.0 * math.pi * m * cfg.T * cfg.n
+        res = adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol)
         state["err"] += res.err_estimate
         state["ok"] &= res.converged
         return res.value
@@ -147,6 +152,16 @@ def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     value = pref * (half_m0 + series.value)
     err = pref * (state["err"] + series.err_estimate)
     return EnergyValue(value, err, "direct_sum", series.converged and state["ok"])
+
+
+def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Free energy per unit area by the direct Matsubara sum; T > 0.
+
+    The T = 0 limit is served exactly by free_energy_T0.
+    """
+    if not cfg.T > 0:
+        raise ValueError("free_energy requires T > 0; use free_energy_T0 at T = 0")
+    return _matsubara_series(cfg, _log_kernel, tol)
 
 
 def free_energy_T0(cfg: CavityConfig) -> EnergyValue:
@@ -268,7 +283,8 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     state = {"err": 0.0, "ok": True}
 
     def beta_f_term(m: int, b: float) -> float:
-        res = _matsubara_integral(2.0 * math.pi * m * cfg.n / b, cfg.a, quad_tol)
+        x = 2.0 * math.pi * m * cfg.n / b
+        res = adaptive_quad(lambda k: _log_kernel(k, cfg.a), x, math.inf, quad_tol)
         state["ok"] &= res.converged
         return res.value / math.pi
 
@@ -344,15 +360,10 @@ def internal_energy_highT_asymptote(cfg: CavityConfig) -> EnergyValue:
 
 
 def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Pressure P = -dF/da by engine.finite_diff in the separation."""
-    h = cfg.a * 6.0e-6
-
-    def F(a: float) -> float:
-        moved = CavityConfig(a=a, T=cfg.T, n=cfg.n)
-        if cfg.T == 0:
-            return free_energy_T0(moved).value
-        return free_energy(moved, tol).value
-
-    res = finite_diff(F, cfg.a, h)
-    value = -res.value
-    return EnergyValue(value, res.err_estimate + abs(value) * 1e-12, "finite_difference")
+    """Pressure P = -dF/da.  At T > 0 the a-derivative is taken under the
+    Matsubara sum, so each term integrates -2 kappa^2/(e^(2 kappa a) - 1);
+    at T = 0 it is the closed form -pi^2/(240 n a^4)."""
+    if cfg.T == 0:
+        value = -math.pi**2 / (240.0 * cfg.n * cfg.a**4)
+        return EnergyValue(value, abs(value) * 1e-15, "closed_form")
+    return _matsubara_series(cfg, _da_kernel, tol)

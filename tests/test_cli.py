@@ -66,6 +66,23 @@ class TestDeterminismAndParity:
             assert (c["converged"] == "true") == j["converged"]
             assert c["method"] == j["method"]
 
+    def test_json_writes_nonfinite_as_null(self, capsys):
+        # a = 1e-104 overflows F(T = 0) to -inf: flagged, exit 1, still valid JSON
+        argv = ["free-energy", "--T", "0", "--a", "1e-104"]
+
+        def reject(token):
+            raise ValueError(f"invalid JSON token {token}")
+
+        code, out = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 1
+        row = json.loads(out, parse_constant=reject)[0]
+        assert row["value"] is None and row["err_estimate"] is None
+        assert row["converged"] is False
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        row = parse_csv(out)[0]
+        assert (row["value"], row["err_estimate"], row["converged"]) == ("-inf", "inf", "false")
+
 
 class TestSweeps:
     def test_linear_sweep_order(self, capsys):
@@ -110,7 +127,7 @@ class TestExitCodes:
         [
             ["free-energy", "--a", "1e-120"],  # ZeroDivisionError
             ["internal-energy", "--T", "1e300"],  # OverflowError
-            ["pressure", "--T", "0", "--D", "400"],  # OverflowError
+            ["pressure", "--T", "0", "--a", "1e-100"],  # ZeroDivisionError
         ],
     )
     def test_arithmetic_failure_exits_one(self, capsys, argv):

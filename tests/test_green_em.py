@@ -133,14 +133,6 @@ class TestEnergyFiniteT:
         # m=1 exponential of the sum: -32 pi e^(-8 pi), deviation ~4.5 e^(-8 pi)
         assert w.value == pytest.approx(-32.0 * math.pi * math.exp(-8.0 * math.pi), rel=1e-9)
 
-    def test_inner_integral_routes_agree(self):
-        cfg = CavityConfig(a=1.0, T=0.5)
-        closed = em_energy_finiteT(cfg, inner="closed")
-        quad = em_energy_finiteT(cfg, inner="quadrature")
-        assert quad.value == pytest.approx(closed.value, rel=1e-10)
-
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
             em_energy_finiteT(CavityConfig(a=1.0, T=0.0))
-        with pytest.raises(ValueError):
-            em_energy_finiteT(CavityConfig(a=1.0, T=1.0), inner="nope")

@@ -41,6 +41,19 @@ class TestPressure:
             P_CLOSED[D], rel=1e-13
         )
 
+    @pytest.mark.parametrize("D", [344, 400, 401])
+    def test_closed_past_gamma_overflow(self, D):
+        # Gamma(D/2) alone overflows a double from D = 344 on; the pressure does not
+        cfg = HyperConfig(dim=D, a=1.1, n=1.5)
+        p = pressure_closed(cfg)
+        with mpmath.workdps(30):
+            ref = (
+                -(D - 2) * (D - 1) * mpmath.gamma(mpmath.mpf(D) / 2) * mpmath.zeta(D)
+                / ((4 * mpmath.pi) ** (mpmath.mpf(D) / 2) * mpmath.mpf(cfg.a) ** D * cfg.n)
+            )
+            assert p.converged
+            assert abs(p.value - ref) <= p.err_estimate
+
     @pytest.mark.parametrize("D", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("n", [1.0, 2.0])
     def test_polar_quadrature_matches_closed(self, D, n):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from casimir.engine import Tolerance
@@ -34,6 +35,31 @@ P_111 = -0.09570800270160906
 
 def cavity(T, n=1.0, a=1.0):
     return CavityConfig(a=a, T=T, n=n)
+
+
+def pressure_mp(a, T, n):
+    """-dF/da at 20 digits, each Matsubara integral's a-derivative in
+    closed polylog form (y = e^(-2 a x))."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 20
+    a, T, n = ctx.mpf(a), ctx.mpf(T), ctx.mpf(n)
+
+    def dI_da(x):
+        y = ctx.exp(-2 * a * x)
+        return (
+            -(x * x / a) * ctx.log1p(-y)
+            + (x / (a * a)) * ctx.polylog(2, y)
+            + ctx.polylog(3, y) / (2 * a**3)
+        )
+
+    total = ctx.zeta(3) / (4 * a**3)  # the m = 0 term at half weight
+    m = 1
+    while True:
+        t = dI_da(2 * ctx.pi * m * T * n)
+        total += t
+        if abs(t) < ctx.mpf(10) ** -20 * abs(total):
+            return float(-T / ctx.pi * total)
+        m += 1
 
 
 class TestConfigAndValue:
@@ -221,4 +247,22 @@ class TestPressure:
         p = pressure(cavity(1.0))
         assert p.value == pytest.approx(P_111, rel=1e-8)
         assert p.value == pytest.approx(-ZETA3 / (4.0 * math.pi), rel=1e-3)
-        assert p.method == "finite_difference"
+        assert p.method == "direct_sum"
+
+    @pytest.mark.parametrize(
+        "naT, a, n",
+        [
+            (1e-3, 1.3, 1.5),
+            (0.01, 1.0, 2.0),
+            (0.3, 1.0, 1.0),
+            (0.5, 1.0, 1.0),
+            (1.0, 1.0, 1.0),
+            (2.0, 2.0, 1.0),
+            (5.0, 1.1, 1.3),
+        ],
+    )
+    def test_within_err_estimate_of_mpmath(self, naT, a, n):
+        T = naT / (n * a)
+        p = pressure(cavity(T, n=n, a=a))
+        assert p.converged
+        assert abs(p.value - pressure_mp(a, T, n)) <= p.err_estimate
