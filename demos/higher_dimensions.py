@@ -16,6 +16,7 @@ from casimir import (
     pressure_closed,
     density_profile,
     pressure_from_w1,
+    mode_energy,
     cutoff_mode_energy,
     dispersive_hyper_energy,
 )
@@ -60,5 +61,5 @@ print("vacuum one as the cutoff probes k >> omega0 (eps_bar=2, omega0=1):")
 model = LorentzModel(eps_bar=2.0, omega0=1.0)
 for lam in (2.0, 1.0, 0.5, 0.25):
     disp = dispersive_hyper_energy(HyperConfig(dim=4), model, lam).value
-    vac = cutoff_mode_energy(HyperConfig(dim=4), lam).value.value
+    vac = mode_energy(HyperConfig(dim=4), lam).value
     print(f"  lambda = {lam:5.2f}: dispersive/vacuum = {disp / vac:.6f}")

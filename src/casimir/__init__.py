@@ -37,7 +37,7 @@ from .green_em import (
 from .dispersion import (
     LorentzModel,
     CutoffSpec,
-    W2CutoffResult,
+    CutoffEnergyResult,
     eps_of_omega,
     eps_imag_axis,
     dispersive_mode_solve,
@@ -48,11 +48,11 @@ from .circuit import CircuitSpec, CircuitEnergy, eigenfrequency, circuit_energy,
 from .hyperdim import (
     HyperConfig,
     DensityProfile,
-    CutoffEnergyResult,
     pressure_quadrature,
     pressure_closed,
     density_profile,
     pressure_from_w1,
+    mode_energy,
     cutoff_mode_energy,
     dispersive_hyper_energy,
 )

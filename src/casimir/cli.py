@@ -10,9 +10,13 @@ always valid JSON.  Exit codes:
 flagged; an arithmetic error such as division by zero or overflow: no
 rows, an error line on stderr), 2 usage error.
 
-Parameters resolve in the order: built-in defaults, then a key=value
-config file (--config, or the CASIMIR_CONFIG environment variable), then
-explicit flags.
+One flat parser takes the command as a positional and every flag once,
+so flags may stand before or after the command; a flag a command does not
+read (--suite outside crosscheck, --omega-max outside dispersive, ...) is
+accepted and ignored.  Parameters resolve in the order: built-in
+defaults, then a key=value config file (--config, or the CASIMIR_CONFIG
+environment variable; each value is converted where it is read, so a bad
+one is reported with its file, line and key), then explicit flags.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .engine import Tolerance, finite_diff
 from . import matsubara, green_em, dispersion, circuit as circuit_mod, hyperdim
@@ -32,7 +35,7 @@ from .matsubara import CavityConfig
 from .dispersion import LorentzModel, CutoffSpec
 from .hyperdim import HyperConfig
 
-__all__ = ["RunConfig", "SweepSpec", "run", "emit_profile", "main"]
+__all__ = ["main"]
 
 COMMANDS = (
     "free-energy",
@@ -46,32 +49,19 @@ COMMANDS = (
     "crosscheck",
 )
 
-_PARAM_TYPES = {
-    "a": float,
-    "T": float,
-    "n": float,
-    "D": int,
-    "eps_bar": float,
-    "omega0": float,
-    "cutoff_lambda": float,
-    "omega_max": float,
-    "L": float,
-    "C0": float,
-    "phi_sq": float,
-}
-
-_DEFAULTS = {
-    "a": 1.0,
-    "T": 0.0,
-    "n": 1.0,
-    "D": 4,
-    "eps_bar": None,
-    "omega0": 10.0,
-    "cutoff_lambda": 0.1,
-    "omega_max": None,
-    "L": 1.0,
-    "C0": 1.0,
-    "phi_sq": 1.0,
+# parameter -> (type, built-in default)
+_PARAMS = {
+    "a": (float, 1.0),
+    "T": (float, 0.0),
+    "n": (float, 1.0),
+    "D": (int, 4),
+    "eps_bar": (float, None),
+    "omega0": (float, 10.0),
+    "cutoff_lambda": (float, 0.1),
+    "omega_max": (float, None),
+    "L": (float, 1.0),
+    "C0": (float, 1.0),
+    "phi_sq": (float, 1.0),
 }
 
 # parameter columns emitted per command, in order
@@ -88,33 +78,6 @@ _COLUMNS = {
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    param: str
-    start: float
-    stop: float
-    count: int
-    scale: str  # "lin" or "log"
-
-    def values(self):
-        if self.scale == "lin":
-            step = (self.stop - self.start) / (self.count - 1)
-            return [self.start + i * step for i in range(self.count)]
-        lo, hi = math.log(self.start), math.log(self.stop)
-        step = (hi - lo) / (self.count - 1)
-        return [math.exp(lo + i * step) for i in range(self.count)]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    sweep: SweepSpec | None = None
-    format: str = "csv"
-    out: str | None = None
-    tol: Tolerance = Tolerance()
 
 
 def _fmt(x) -> str:
@@ -162,6 +125,7 @@ def _lorentz(params) -> LorentzModel:
 
 
 def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
+    """Rows for one parameter point of any command but crosscheck."""
     if command in ("free-energy", "internal-energy", "em-energy", "pressure"):
         cfg = CavityConfig(a=params["a"], T=params["T"], n=params["n"])
     if command == "free-energy":
@@ -214,38 +178,22 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
     if command == "cutoff-sum":
         hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
         if params["eps_bar"] is None:
-            res = hyperdim.cutoff_mode_energy(hcfg, params["cutoff_lambda"], tol)
-            return [_energy_row(_COLUMNS[command], params, res.value)]
+            ev = hyperdim.mode_energy(hcfg, params["cutoff_lambda"], tol)
+            return [_energy_row(_COLUMNS[command], params, ev)]
         model = _lorentz(params)
         ev = hyperdim.dispersive_hyper_energy(hcfg, model, params["cutoff_lambda"], tol)
         cols = _COLUMNS[command] + ("eps_bar", "omega0")
         return [_energy_row(cols, params, ev)]
-    raise UsageError(f"unknown command {command!r}")
-
-
-def emit_profile(cfg: RunConfig) -> tuple[int, str]:
-    """Density-profile table: u, w1, w2, raw and regularized totals."""
-    params = cfg.params
+    # profile: u, w1, w2, raw and regularized totals at 99 interior points
     if params["D"] < 4:
         raise UsageError("profile requires D >= 4")
     hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
-    grid = [i / 100.0 for i in range(1, 100)]  # 99 interior points
-    prof = hyperdim.density_profile(hcfg, grid)
-    rows = []
-    for u, w2, tot in zip(prof.u_grid, prof.w2_values, prof.total):
-        rows.append(
-            {
-                "a": params["a"],
-                "n": params["n"],
-                "D": params["D"],
-                "u": u,
-                "w1": prof.w1,
-                "w2": w2,
-                "total": tot,
-                "regularized": prof.w1,
-            }
-        )
-    return 0, _render(rows, cfg.format)
+    prof = hyperdim.density_profile(hcfg, [i / 100.0 for i in range(1, 100)])
+    head = {k: params[k] for k in ("a", "n", "D")}
+    return [
+        dict(head, u=u, w1=prof.w1, w2=w2, total=tot, regularized=prof.w1)
+        for u, w2, tot in zip(prof.u_grid, prof.w2_values, prof.total)
+    ]
 
 
 def _crosscheck_rows(tol: Tolerance) -> list[dict]:
@@ -354,99 +302,21 @@ def _crosscheck_rows(tol: Tolerance) -> list[dict]:
         relative=False,
     )
     hcfg4 = HyperConfig(dim=4)
-    scan = hyperdim.cutoff_mode_energy(hcfg4, 0.1, tol).scan
-    exponent = math.log2(scan[1][1] / scan[0][1])
-    check("cutoff_exponent~D", exponent, 4.0, 0.2 * 4.0, relative=False)
-    vac = hyperdim.cutoff_mode_energy(hcfg4, 0.5, tol).value.value
+    e1, e2 = (hyperdim.mode_energy(hcfg4, lam, tol).value for lam in (0.1, 0.05))
+    check("cutoff_exponent~D", math.log2(e2 / e1), 4.0, 0.2 * 4.0, relative=False)
+    vac = hyperdim.mode_energy(hcfg4, 0.5, tol).value
     disp = hyperdim.dispersive_hyper_energy(hcfg4, LorentzModel(eps_bar=1.0, omega0=1.0), 0.5, tol).value
     check("dispersive_sum(eps=1)=vacuum", disp, vac, 1e-8)
     return rows
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute a RunConfig; returns (exit_code, rendered table)."""
-    if cfg.command not in COMMANDS:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    if cfg.command in ("profile", "crosscheck"):
-        if cfg.sweep is not None:
-            raise UsageError(f"{cfg.command} does not support --sweep")
-        if cfg.command == "profile":
-            return emit_profile(cfg)
-        rows = _crosscheck_rows(cfg.tol)
-        code = 0 if all(r["passed"] for r in rows) else 1
-        return code, _render(rows, cfg.format)
-
-    sweeps = [None]
-    if cfg.sweep is not None:
-        key = cfg.sweep.param
-        allowed = set(_COLUMNS[cfg.command])
-        if cfg.command == "cutoff-sum":
-            allowed |= {"eps_bar", "omega0"}
-        if key not in allowed:
-            raise UsageError(f"cannot sweep {key!r} for command {cfg.command!r}")
-        sweeps = cfg.sweep.values()
-        if cfg.sweep.param == "D":
-            as_int = [round(v) for v in sweeps]
-            if any(abs(v - i) > 1e-9 for v, i in zip(sweeps, as_int)):
-                raise UsageError("a sweep over D must produce integer values")
-            sweeps = as_int
-
-    rows = []
-    for point in sweeps:
-        params = dict(cfg.params)
-        if point is not None:
-            params[cfg.sweep.param] = point
-        rows.extend(_evaluate(cfg.command, params, cfg.tol))
-    converged = all(r.get("converged", True) for r in rows)
-    return (0 if converged else 1), _render(rows, cfg.format)
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _PARAM_TYPES:
-                raise UsageError(f"{path}:{lineno}: unknown parameter {key!r}")
-            out[key] = value.strip()
-    return out
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="casimir",
-        description="Casimir plate energies: thermodynamic, electromagnetic, "
-        "dispersive, and higher-dimensional routes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        for flag, typ in _PARAM_TYPES.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None, dest=flag)
-        p.add_argument("--sweep", default=None, metavar="param:start:stop:count:scale")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--tol-rel", type=float, default=1e-10, dest="tol_rel")
-        p.add_argument("--tol-abs", type=float, default=1e-14, dest="tol_abs")
-        p.add_argument("--max-iter", type=int, default=10**6, dest="max_iter")
-        if name == "crosscheck":
-            p.add_argument("--suite", choices=("all",), default="all")
-    return parser
-
-
-def _parse_sweep(text: str) -> SweepSpec:
+def _sweep_points(command: str, text: str) -> tuple[str, list]:
+    """The swept parameter and its values from --sweep param:start:stop:count:scale."""
     parts = text.split(":")
     if len(parts) != 5:
         raise UsageError(f"--sweep expects param:start:stop:count:scale, got {text!r}")
     param = parts[0].replace("-", "_")
-    if param not in _PARAM_TYPES:
+    if param not in _PARAMS:
         raise UsageError(f"unknown sweep parameter {parts[0]!r}")
     try:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
@@ -459,45 +329,108 @@ def _parse_sweep(text: str) -> SweepSpec:
         raise UsageError("sweep count must be >= 2")
     if scale == "log" and (start <= 0 or stop <= 0):
         raise UsageError("log sweeps need positive bounds")
-    return SweepSpec(param, start, stop, count, scale)
+    if command in ("profile", "crosscheck"):
+        raise UsageError(f"{command} does not support --sweep")
+    allowed = set(_COLUMNS[command])
+    if command == "cutoff-sum":
+        allowed |= {"eps_bar", "omega0"}
+    if param not in allowed:
+        raise UsageError(f"cannot sweep {param!r} for command {command!r}")
+    if scale == "lin":
+        step = (stop - start) / (count - 1)
+        values = [start + i * step for i in range(count)]
+    else:
+        lo, hi = math.log(start), math.log(stop)
+        step = (hi - lo) / (count - 1)
+        values = [math.exp(lo + i * step) for i in range(count)]
+    if param == "D":
+        as_int = [round(v) for v in values]
+        if any(abs(v - i) > 1e-9 for v, i in zip(values, as_int)):
+            raise UsageError("a sweep over D must produce integer values")
+        values = as_int
+    return param, values
+
+
+def _run(command: str, params: dict, sweep: str | None, tol: Tolerance) -> tuple[int, list[dict]]:
+    """Evaluate command at params, or at each point of the sweep text;
+    returns (exit_code, rows)."""
+    key, points = _sweep_points(command, sweep) if sweep else (None, [None])
+    if command == "crosscheck":
+        rows = _crosscheck_rows(tol)
+        return (0 if all(r["passed"] for r in rows) else 1), rows
+    rows = []
+    for point in points:
+        rows.extend(_evaluate(command, params if key is None else {**params, key: point}, tol))
+    return (0 if all(r.get("converged", True) for r in rows) else 1), rows
+
+
+def _load_config_file(path: str) -> dict:
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in _PARAMS:
+                raise UsageError(f"{path}:{lineno}: unknown parameter {key!r}")
+            typ = _PARAMS[key][0]
+            try:
+                out[key] = typ(value)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: {key} expects {typ.__name__}, got {value!r}"
+                ) from None
+    return out
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="casimir",
+        description="Casimir plate energies: thermodynamic, electromagnetic, "
+        "dispersive, and higher-dimensional routes.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    for flag, (typ, _) in _PARAMS.items():
+        parser.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None, dest=flag)
+    parser.add_argument("--sweep", default=None, metavar="param:start:stop:count:scale")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--tol-rel", type=float, default=1e-10, dest="tol_rel")
+    parser.add_argument("--tol-abs", type=float, default=1e-14, dest="tol_abs")
+    parser.add_argument("--max-iter", type=int, default=10**6, dest="max_iter")
+    parser.add_argument("--suite", choices=("all",), default="all")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        params = dict(_DEFAULTS)
+        params = {key: default for key, (_, default) in _PARAMS.items()}
         config_path = args.config or os.environ.get("CASIMIR_CONFIG")
         if config_path:
-            for key, text in _load_config_file(config_path).items():
-                params[key] = _PARAM_TYPES[key](text)
-        for key in _PARAM_TYPES:
+            params.update(_load_config_file(config_path))
+        for key in _PARAMS:
             if getattr(args, key) is not None:
                 params[key] = getattr(args, key)
         tol = Tolerance(rel=args.tol_rel, abs=args.tol_abs, max_iter=args.max_iter)
-        cfg = RunConfig(
-            command=args.command,
-            params=params,
-            sweep=_parse_sweep(args.sweep) if args.sweep else None,
-            format=args.format,
-            out=args.out,
-            tol=tol,
-        )
-        code, text = run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        code, rows = _run(args.command, params, args.sweep, tol)
+        text = _render(rows, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            return code
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return code
 
 

@@ -52,7 +52,7 @@ from .matsubara import CavityConfig, EnergyValue
 __all__ = [
     "LorentzModel",
     "CutoffSpec",
-    "W2CutoffResult",
+    "CutoffEnergyResult",
     "DEFAULT_RESONANCE_HALFWIDTH",
     "eps_of_omega",
     "eps_imag_axis",
@@ -199,9 +199,11 @@ def w_I_energy(
 
 
 @dataclass(frozen=True)
-class W2CutoffResult:
-    """Truncated W_II with its divergence diagnostic: the values at
-    omega_max, 2*omega_max and 4*omega_max."""
+class CutoffEnergyResult:
+    """A cutoff-regulated energy with its divergence scan ((cutoff, value),
+    ...) over three cutoffs, the first being the reported one: omega_max,
+    2 omega_max, 4 omega_max for W_II; lambda, lambda/2, lambda/4 for
+    hyperdim.cutoff_mode_energy."""
 
     value: EnergyValue
     scan: tuple[tuple[float, float], ...]
@@ -212,7 +214,7 @@ def w2_density_cutoff(
     cfg: CavityConfig,
     cut: CutoffSpec,
     tol: Tolerance = DEFAULT_TOL,
-) -> W2CutoffResult:
+) -> CutoffEnergyResult:
     """Frequency-derivative remainder W_II, truncated at cut.omega_max.
 
     W_II(L) = (2a(eps_bar-1)/omega0^2) int_0^L (dzeta/2pi)
@@ -232,7 +234,7 @@ def w2_density_cutoff(
 
     if model.eps_bar == 1.0:
         zero = EnergyValue(0.0, 0.0, "quadrature")
-        return W2CutoffResult(zero, tuple((cut.omega_max * 2**j, 0.0) for j in range(3)))
+        return CutoffEnergyResult(zero, tuple((cut.omega_max * 2**j, 0.0) for j in range(3)))
 
     edges = [0.0] + [cut.omega_max * 2**j for j in range(3)]
     acc = 0.0
@@ -246,4 +248,4 @@ def w2_density_cutoff(
         ok &= seg.converged
         scan.append((hi, pref * acc))
     value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok)
-    return W2CutoffResult(value, tuple(scan))
+    return CutoffEnergyResult(value, tuple(scan))

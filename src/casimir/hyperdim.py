@@ -27,17 +27,19 @@ walls for D > 4, and in physical variables is independent of the plate
 separation, so it never contributes to the force.  The medium enters all
 of these densities only through an overall 1/n (replace c by c/n).
 
-``cutoff_mode_energy`` evaluates the raw vacuum-mode sum
+``mode_energy`` evaluates the raw vacuum-mode sum
 
     W = (1/n) sum_m int d^(d-1)k/(2 pi)^(d-1) sqrt(k^2 + pi^2 m^2/a^2)
 
-under an exponential regulator e^(-lambda k_total); the value diverges
-like lambda^(-D) and is always reported together with lambda and a
-lambda-halving scan.  ``dispersive_hyper_energy`` replaces the constant
-1/n by 1/n(k) with n(k) the photon-branch index from the mode condition
-n(omega) omega = k, a closed form (see casimir.dispersion).  n(k) jumps
-across the polariton gap at k = omega0, so there each mode integral is
-split in two.
+under an exponential regulator e^(-lambda k_total) at one lambda; the
+value diverges like lambda^(-D) and is always reported together with
+lambda.  ``cutoff_mode_energy`` is its lambda-halving scan (lambda,
+lambda/2, lambda/4), the divergence witness; a caller that reads one
+lambda calls ``mode_energy`` alone.  ``dispersive_hyper_energy``
+replaces the constant 1/n by 1/n(k) with n(k) the photon-branch index
+from the mode condition n(omega) omega = k, a closed form (see
+casimir.dispersion).  n(k) jumps across the polariton gap at
+k = omega0, so there each mode integral is split in two.
 """
 
 from __future__ import annotations
@@ -49,16 +51,16 @@ from dataclasses import dataclass
 from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import EnergyValue
-from .dispersion import LorentzModel, _photon_jump, photon_index
+from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
 __all__ = [
     "HyperConfig",
     "DensityProfile",
-    "CutoffEnergyResult",
     "pressure_quadrature",
     "pressure_closed",
     "density_profile",
     "pressure_from_w1",
+    "mode_energy",
     "cutoff_mode_energy",
     "dispersive_hyper_energy",
 ]
@@ -221,15 +223,6 @@ def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     return ident, EnergyValue(fd, res.err_estimate + abs(fd) * 1e-12, "finite_difference")
 
 
-@dataclass(frozen=True)
-class CutoffEnergyResult:
-    """Regulated mode-sum energy with its lambda-halving divergence scan
-    ((lambda, value), (lambda/2, value), (lambda/4, value))."""
-
-    value: EnergyValue
-    scan: tuple[tuple[float, float], ...]
-
-
 def _mode_sum(
     cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
 ) -> EnergyValue:
@@ -270,21 +263,21 @@ def _mode_sum(
     )
 
 
+def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Exponentially regulated vacuum-mode energy at cutoff lambda > 0;
+    the medium enters only through the overall 1/n."""
+    if not lam > 0:
+        raise ValueError(f"cutoff lambda must be > 0, got {lam}")
+    return _mode_sum(cfg, lam, tol, lambda e: cfg.n)
+
+
 def cutoff_mode_energy(
     cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL
 ) -> CutoffEnergyResult:
-    """Exponentially regulated vacuum-mode energy; medium enters only
-    through the overall 1/n.  The scan reports the value at lambda,
-    lambda/2 and lambda/4 (the ~lambda^(-D) growth is the divergence
-    witness)."""
-    if not lam > 0:
-        raise ValueError(f"cutoff lambda must be > 0, got {lam}")
-    values = []
-    for scale in (1.0, 0.5, 0.25):
-        res = _mode_sum(cfg, lam * scale, tol, lambda e: cfg.n)
-        values.append((lam * scale, res))
-    head = values[0][1]
-    return CutoffEnergyResult(head, tuple((l, r.value) for l, r in values))
+    """mode_energy at lambda with its scan over lambda, lambda/2 and
+    lambda/4 (the ~lambda^(-D) growth is the divergence witness)."""
+    scan = [(lam * scale, mode_energy(cfg, lam * scale, tol)) for scale in (1.0, 0.5, 0.25)]
+    return CutoffEnergyResult(scan[0][1], tuple((l, ev.value) for l, ev in scan))
 
 
 def dispersive_hyper_energy(

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from casimir import hyperdim
 from casimir.cli import main
 
 
@@ -16,6 +17,20 @@ def run_cli(argv, capsys):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@pytest.fixture
+def mode_sum_lams(monkeypatch):
+    """The cutoff of every hyperdim._mode_sum call made during the test."""
+    lams = []
+    mode_sum = hyperdim._mode_sum
+
+    def counted(cfg, lam, *args, **kwargs):
+        lams.append(lam)
+        return mode_sum(cfg, lam, *args, **kwargs)
+
+    monkeypatch.setattr(hyperdim, "_mode_sum", counted)
+    return lams
 
 
 class TestSingleRuns:
@@ -82,6 +97,21 @@ class TestDeterminismAndParity:
         assert code == 1
         row = parse_csv(out)[0]
         assert (row["value"], row["err_estimate"], row["converged"]) == ("-inf", "inf", "false")
+
+
+class TestFlatParser:
+    def test_flags_before_or_after_command(self, capsys):
+        code, before = run_cli(["--format", "json", "free-energy", "--T", "0.5"], capsys)
+        assert code == 0
+        code, after = run_cli(["free-energy", "--T", "0.5", "--format", "json"], capsys)
+        assert code == 0
+        assert before == after
+
+    def test_suite_ignored_outside_crosscheck(self, capsys):
+        _, plain = run_cli(["pressure"], capsys)
+        code, with_suite = run_cli(["pressure", "--suite", "all"], capsys)
+        assert code == 0
+        assert with_suite == plain
 
 
 class TestSweeps:
@@ -178,6 +208,30 @@ class TestConfigFile:
         code, _ = run_cli(["internal-energy", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("D=4.5\n", "1: D expects int, got '4.5'"),
+            ("T=1\neps-bar = x\n", "2: eps_bar expects float, got 'x'"),
+        ],
+    )
+    def test_bad_value_names_file_line_and_key(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main(["pressure", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {cfg}:{message}\n"
+        assert captured.out == ""
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "table.csv"
+        code = main(["pressure", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out_path.exists()
+
     def test_output_file_lf_endings(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _ = run_cli(["pressure", "--out", str(out_path)], capsys)
@@ -233,6 +287,13 @@ class TestDispersiveAndCircuitCommands:
         assert code == 0
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(2.0100501249992188, rel=1e-10)
 
+    def test_cutoff_sum_one_mode_sum_per_row(self, capsys, mode_sum_lams):
+        argv = ["cutoff-sum", "--cutoff-lambda", "0.8", "--sweep", "D:4:5:2:lin"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert len(parse_csv(out)) == 2
+        assert mode_sum_lams == [0.8, 0.8]
+
     def test_cutoff_sum_vacuum_and_dispersive(self, capsys):
         code, out = run_cli(["cutoff-sum", "--cutoff-lambda", "0.5"], capsys)
         assert code == 0
@@ -255,3 +316,10 @@ class TestCrosscheck:
         with pytest.raises(SystemExit) as exc:
             main(["crosscheck", "--suite", "fast"])
         assert exc.value.code == 2
+
+    def test_computes_only_the_mode_sums_it_reads(self, capsys, mode_sum_lams):
+        # cutoff_exponent~D reads lambda = 0.1 and 0.05; dispersive_sum(eps=1)=vacuum
+        # reads the vacuum and dispersive sums at lambda = 0.5
+        code, _ = run_cli(["crosscheck"], capsys)
+        assert code == 0
+        assert mode_sum_lams == [0.1, 0.05, 0.5, 0.5]

@@ -11,6 +11,7 @@ from casimir.hyperdim import (
     pressure_closed,
     density_profile,
     pressure_from_w1,
+    mode_energy,
     cutoff_mode_energy,
     dispersive_hyper_energy,
 )
@@ -185,6 +186,18 @@ class TestCutoffModeSum:
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):
             cutoff_mode_energy(HyperConfig(dim=4), 0.0)
+
+    @pytest.mark.parametrize("cfg", [HyperConfig(dim=4, a=1.3, n=1.5), HyperConfig(dim=5)])
+    def test_scan_is_mode_energy_at_each_cutoff(self, cfg):
+        res = cutoff_mode_energy(cfg, 0.5)
+        assert res.value == mode_energy(cfg, 0.5)
+        expected = tuple((lam, mode_energy(cfg, lam).value) for lam in (0.5, 0.25, 0.125))
+        assert res.scan == expected
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, math.nan])
+    def test_mode_energy_rejects_bad_cutoff(self, lam):
+        with pytest.raises(ValueError, match="cutoff lambda must be > 0"):
+            mode_energy(HyperConfig(dim=4), lam)
 
 
 def _dispersive_reference(D, a, eps_bar, omega0, lam):
