@@ -15,6 +15,7 @@ from .matsubara import (
     CavityConfig,
     EnergyValue,
     free_energy,
+    free_energy_quad,
     free_energy_T0,
     free_energy_lowT,
     internal_energy,
@@ -24,6 +25,7 @@ from .matsubara import (
     internal_energy_lowT,
     internal_energy_highT_asymptote,
     pressure,
+    pressure_quad,
 )
 from .green_em import (
     SpectralGreens,

@@ -235,6 +235,18 @@ def _crosscheck_rows(tol: Tolerance) -> list[dict]:
             lambda a: matsubara.free_energy(CavityConfig(a=a, T=naT), tol).value, 1.0, 6.0e-6
         )
         check(f"P=-dF/da@naT={naT:g}", -dF.value, matsubara.pressure(cfg, tol).value, 1e-8)
+        check(
+            f"F_quad=F@naT={naT:g}",
+            matsubara.free_energy_quad(cfg, tol).value,
+            matsubara.free_energy(cfg, tol).value,
+            1e-10,
+        )
+        check(
+            f"P_quad=P@naT={naT:g}",
+            matsubara.pressure_quad(cfg, tol).value,
+            matsubara.pressure(cfg, tol).value,
+            1e-10,
+        )
     for naT in (0.3, 1.0, 2.0, 5.0):
         cfg = CavityConfig(a=1.0, T=naT)
         check(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,7 @@ __all__ = [
     "Tolerance",
     "NumericResult",
     "DEFAULT_TOL",
+    "ROUNDING",
     "adaptive_quad",
     "sum_series",
     "finite_diff",
@@ -45,6 +47,10 @@ _GL_HALF = (
 )
 _GL_NODES = tuple(-x for x, _ in _GL_HALF[:0:-1]) + tuple(x for x, _ in _GL_HALF)
 _GL_WEIGHTS = tuple(w for _, w in _GL_HALF[:0:-1]) + tuple(w for _, w in _GL_HALF)
+
+# Rounding floor of a floating-point sum, per unit of the summed
+# magnitudes: c * eps * sum |terms| with c = 4.
+ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -185,9 +191,11 @@ def sum_series(
     for 3 consecutive terms (guards against plateaus).  Terms are assumed
     eventually monotone decreasing; the error estimate is the remainder
     bound |t| r/(1-r) built from the last term and the observed decay
-    ratio r (falling back to |t| when the ratio is not contractive).
+    ratio r (falling back to |t| when the ratio is not contractive), plus
+    the rounding floor ROUNDING * sum |terms| of the partial sum itself.
+    Neither the values nor the stopping rule depend on the floor.
     """
-    partial = 0.0
+    partial = magnitude = 0.0
     streak = 0
     last = prev = 0.0
     m = start
@@ -196,17 +204,19 @@ def sum_series(
         if t != t:
             raise ValueError(f"series term returned NaN at m={m}")
         partial += t
+        magnitude += abs(t)
         prev, last = last, abs(t)
         # an exactly-zero term (underflowed tail) is below any tolerance
         if last < tol.abs and (last == 0.0 or last < tol.rel * abs(partial)):
             streak += 1
             if streak >= 3:
-                err = _tail_bound(last, prev)
+                err = _tail_bound(last, prev) + ROUNDING * magnitude
                 return NumericResult(partial, err, m - start + 1, err <= tol.target(partial))
         else:
             streak = 0
         m += 1
-    return NumericResult(partial, _tail_bound(last, prev), m - start, False)
+    err = _tail_bound(last, prev) + ROUNDING * magnitude
+    return NumericResult(partial, err, m - start, False)
 
 
 def _tail_bound(last: float, prev: float) -> float:

@@ -7,13 +7,32 @@ T = 1/beta is a Matsubara sum over imaginary frequencies zeta_m = 2 pi m T,
     F = (1/(pi beta)) sum'_{m>=0} I(n zeta_m),
     I(x) = int_x^inf kappa ln(1 - e^(-2 kappa a)) dkappa,
 
-with the m = 0 term at half weight.  The pressure P = -dF/da is the same
-sum with the a-derivative taken under it, I(x) replaced by
--int_x^inf 2 kappa^2 / (e^(2 kappa a) - 1) dkappa (the lower limit does
-not depend on a); the finite difference of F in a is only a cross-check
-(casimir crosscheck).  The internal energy
-U = d(beta F)/d beta is computed by three independent routes that must
-agree:
+with the m = 0 term at half weight.  Expanding the logarithm and summing
+the Matsubara index first (sum'_m e^(-2jum) = coth(ju)/2 and
+sum_m m e^(-2jum) = 1/(4 sinh^2(ju))) leaves one function of u = 2 pi naT,
+
+    S(u) = sum_{j>=1} j^-3 [coth(ju) + ju/sinh^2(ju)],
+    F = -T/(8 pi a^2) S(u),    P = -dF/da = -T/(8 pi a^3) (2S - u S'),
+
+and U = d(beta F)/d beta = u T S'(u)/(8 pi a^2), where
+S'(u) = -2u sum_j coth(ju)/(j sinh^2(ju)) is the hyperbolic U sum.  At
+naT >= ROUTE_SPLIT_NAT the terms of S - zeta(3) fall like e^(-2ju) and
+are summed directly; below, the temperature-inversion symmetry (Brown &
+Maclay, Phys. Rev. 184, 1272 (1969); Ramanujan's zeta(3) formula with
+alpha beta = pi^2) gives the exact dual with v = pi^2/u,
+
+    S(u)  =  pi^4/(45u) - u^3/45 + (u^2/pi^2) S(v),
+    S'(u) = -pi^4/(45u^2) - u^2/15 + (2u/pi^2) S(v) - S'(v),
+
+whose closed part is the low-temperature expansion and whose S(v) falls
+like e^(-2 pi^2/u).  Either way a handful of terms reach rounding; the
+error estimate is the geometric tail bound plus a rounding term.  The
+per-term quadrature of I (and, for P, of -d/da under the sum,
+-int_x^inf 2 kappa^2/(e^(2 kappa a) - 1) dkappa) is kept as the
+independent check route free_energy_quad / pressure_quad (casimir
+crosscheck, beside the finite difference of F in a).  The internal
+energy U = d(beta F)/d beta is computed by three independent routes that
+must agree:
 
 * ``internal_energy_direct``    -pi n^2 T^3 sum_m coth(2 pi n m a T) /
                                 (m sinh^2(2 pi n m a T)); geometric
@@ -26,7 +45,9 @@ agree:
 The m = 0 term of beta*F is exactly independent of beta (beta enters only
 through the lower integration limit, which vanishes at m = 0), so it is
 excluded from the derivative route; differencing it numerically would only
-inject noise.
+inject noise.  For m >= 1 only the stretch between the two lower limits
+is integrated: the rest of each term is the same constant at every beta
+and cancels exactly in the central differences.
 
 Extended precision: the resummed series is an exact rearrangement in which
 a closed polynomial part (the low-temperature expansion) cancels against an
@@ -41,8 +62,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
+from .engine import ROUNDING, Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -50,6 +72,7 @@ __all__ = [
     "EnergyValue",
     "METHOD_TAGS",
     "free_energy",
+    "free_energy_quad",
     "free_energy_T0",
     "free_energy_lowT",
     "internal_energy",
@@ -59,6 +82,7 @@ __all__ = [
     "internal_energy_lowT",
     "internal_energy_highT_asymptote",
     "pressure",
+    "pressure_quad",
 ]
 
 METHOD_TAGS = (
@@ -71,7 +95,8 @@ METHOD_TAGS = (
     "closed_form",
 )
 
-# naT threshold separating the geometric regimes of the two U series.
+# naT threshold separating the geometric regimes of the direct and dual
+# series (of U, and of the S kernel of F and P).
 ROUTE_SPLIT_NAT = 0.3
 
 
@@ -151,17 +176,111 @@ def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
     pref = cfg.T / math.pi
     value = pref * (half_m0 + series.value)
     err = pref * (state["err"] + series.err_estimate)
-    return EnergyValue(value, err, "direct_sum", series.converged and state["ok"])
+    return EnergyValue(value, err, "quadrature", series.converged and state["ok"])
+
+
+def free_energy_quad(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Free energy by one quadrature of I per Matsubara term; T > 0.  The
+    check route for free_energy."""
+    if not cfg.T > 0:
+        raise ValueError("free_energy_quad requires T > 0")
+    return _matsubara_series(cfg, _log_kernel, tol)
+
+
+def pressure_quad(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Pressure by one quadrature of -dI/da per Matsubara term; T > 0.  The
+    check route for pressure."""
+    if not cfg.T > 0:
+        raise ValueError("pressure_quad requires T > 0")
+    return _matsubara_series(cfg, _da_kernel, tol)
+
+
+class _Kernel(NamedTuple):
+    """S(u), S'(u) and their error estimates (see the module docstring),
+    with the tag of the route that summed them."""
+
+    s: float
+    ds: float
+    err_s: float
+    err_ds: float
+    converged: bool
+    method: str
+
+
+def _hyperbolic_tails(u: float, max_iter: int) -> tuple:
+    """The exponentially small parts of S(u) and S'(u) = -2u D(u),
+
+        R(u) = sum_j j^-3 [coth(ju) - 1 + ju/sinh^2(ju)],
+        D(u) = sum_j coth(ju)/(j sinh^2(ju)),
+
+    for u >~ 1.  Every term ratio of either sum is at most r = e^(-2u),
+    so t r/(1 - r) bounds the tail after a term t; the sums stop once
+    that bound is below rounding.  Returns (R, D, tail_R, tail_D,
+    converged)."""
+    r = math.exp(-2.0 * u)
+    big_r = d = 0.0
+    for j in range(1, max_iter + 1):
+        x = j * u
+        q = math.exp(-2.0 * x)
+        if q == 0.0:  # this term and all later ones underflow
+            return big_r, d, 0.0, 0.0, True
+        one_minus = -math.expm1(-2.0 * x)
+        t_r = (2.0 * q + 4.0 * x * q / one_minus) / (one_minus * j**3)
+        t_d = 4.0 * q * (1.0 + q) / (one_minus**3 * j)
+        big_r += t_r
+        d += t_d
+        tail_r, tail_d = t_r * r / (1.0 - r), t_d * r / (1.0 - r)
+        if tail_r <= ROUNDING * big_r and tail_d <= ROUNDING * d:
+            return big_r, d, tail_r, tail_d, True
+    return big_r, d, tail_r, tail_d, False
+
+
+def _kernel_direct(u: float, max_iter: int) -> _Kernel:
+    """S and S' summed directly: S = zeta(3) + R(u), S' = -2u D(u)."""
+    big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(u, max_iter)
+    s = riemann_zeta(3.0) + big_r
+    ds = -2.0 * u * d
+    err_s = tail_r + ROUNDING * s
+    err_ds = 2.0 * u * tail_d + ROUNDING * abs(ds)
+    return _Kernel(s, ds, err_s, err_ds, ok, "direct_sum")
+
+
+def _kernel_dual(u: float, max_iter: int) -> _Kernel:
+    """S and S' from the exact dual at v = pi^2/u."""
+    v = math.pi**2 / u
+    big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(v, max_iter)
+    s_v = riemann_zeta(3.0) + big_r
+    pieces = (math.pi**4 / (45.0 * u), -(u**3) / 45.0, (u / math.pi) ** 2 * s_v)
+    d_pieces = (
+        -(math.pi**4) / (45.0 * u * u),
+        -u * u / 15.0,
+        2.0 * u / math.pi**2 * s_v,
+        2.0 * v * d,  # -S'(v)
+    )
+    err_s = (u / math.pi) ** 2 * tail_r + ROUNDING * sum(map(abs, pieces))
+    err_ds = 2.0 * u / math.pi**2 * tail_r + 2.0 * v * tail_d + ROUNDING * sum(map(abs, d_pieces))
+    return _Kernel(sum(pieces), sum(d_pieces), err_s, err_ds, ok, "poisson_resummed")
+
+
+def _thermal_kernel(cfg: CavityConfig, tol: Tolerance) -> _Kernel:
+    """S and S' at u = 2 pi naT by the route that converges there."""
+    u = 2.0 * math.pi * cfg.naT
+    if cfg.naT >= ROUTE_SPLIT_NAT:
+        return _kernel_direct(u, tol.max_iter)
+    return _kernel_dual(u, tol.max_iter)
 
 
 def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Free energy per unit area by the direct Matsubara sum; T > 0.
+    """Free energy per unit area, F = -T/(8 pi a^2) S(u); T > 0.
 
     The T = 0 limit is served exactly by free_energy_T0.
     """
     if not cfg.T > 0:
         raise ValueError("free_energy requires T > 0; use free_energy_T0 at T = 0")
-    return _matsubara_series(cfg, _log_kernel, tol)
+    k = _thermal_kernel(cfg, tol)
+    pref = cfg.T / (8.0 * math.pi * cfg.a**2)
+    value = -pref * k.s
+    return EnergyValue(value, pref * k.err_s + ROUNDING * abs(value), k.method, k.converged)
 
 
 def free_energy_T0(cfg: CavityConfig) -> EnergyValue:
@@ -273,7 +392,9 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     beta enters each Matsubara term only through the lower limit of its
     integral, so the derivative is taken term by term (the m = 0 term of
     beta F is a beta-independent constant and drops out exactly).  Each
-    term is one engine.finite_diff step, whose error estimate is summed.
+    term is one engine.finite_diff step over beta F_m(b) - beta F_m(beta),
+    a quadrature between the two lower limits only; the error estimates
+    of the steps are summed.
     """
     if not cfg.T > 0:
         raise ValueError("internal_energy_from_F requires T > 0")
@@ -282,14 +403,15 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     quad_tol = Tolerance(rel=1e-12, abs=0.0, max_iter=tol.max_iter)
     state = {"err": 0.0, "ok": True}
 
-    def beta_f_term(m: int, b: float) -> float:
-        x = 2.0 * math.pi * m * cfg.n / b
-        res = adaptive_quad(lambda k: _log_kernel(k, cfg.a), x, math.inf, quad_tol)
+    def beta_f_step(m: int, b: float) -> float:
+        # beta F_m(b) - beta F_m(beta) = (1/pi) int_{x_m(b)}^{x_m(beta)}
+        lo, hi = 2.0 * math.pi * m * cfg.n / b, 2.0 * math.pi * m * cfg.n / beta
+        res = adaptive_quad(lambda k: _log_kernel(k, cfg.a), min(lo, hi), max(lo, hi), quad_tol)
         state["ok"] &= res.converged
-        return res.value / math.pi
+        return (res.value if lo < hi else -res.value) / math.pi
 
     def term(m: int) -> float:
-        res = finite_diff(lambda b: beta_f_term(m, b), beta, h)
+        res = finite_diff(lambda b: beta_f_step(m, b), beta, h)
         state["err"] += res.err_estimate
         return res.value
 
@@ -360,10 +482,15 @@ def internal_energy_highT_asymptote(cfg: CavityConfig) -> EnergyValue:
 
 
 def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Pressure P = -dF/da.  At T > 0 the a-derivative is taken under the
-    Matsubara sum, so each term integrates -2 kappa^2/(e^(2 kappa a) - 1);
-    at T = 0 it is the closed form -pi^2/(240 n a^4)."""
+    """Pressure P = -dF/da = -T/(8 pi a^3) (2S - u S') at T > 0 (both
+    parts have the sign of P, so nothing cancels); at T = 0 the closed
+    form -pi^2/(240 n a^4)."""
     if cfg.T == 0:
         value = -math.pi**2 / (240.0 * cfg.n * cfg.a**4)
         return EnergyValue(value, abs(value) * 1e-15, "closed_form")
-    return _matsubara_series(cfg, _da_kernel, tol)
+    k = _thermal_kernel(cfg, tol)
+    u = 2.0 * math.pi * cfg.naT
+    pref = cfg.T / (8.0 * math.pi * cfg.a**3)
+    value = -pref * (2.0 * k.s - u * k.ds)
+    err = pref * (2.0 * k.err_s + u * k.err_ds) + ROUNDING * abs(value)
+    return EnergyValue(value, err, k.method, k.converged)

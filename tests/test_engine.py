@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 import casimir
-from casimir.engine import Tolerance, adaptive_quad, sum_series, finite_diff
+from casimir.engine import ROUNDING, Tolerance, adaptive_quad, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
@@ -151,6 +151,16 @@ class TestSumSeries:
     def test_harmonic_does_not_converge(self):
         res = sum_series(lambda m: 1.0 / m, 1, Tolerance(max_iter=1000))
         assert not res.converged
+
+    def test_rounding_floor(self):
+        # 0.1 + 0.2 - 0.3 rounds to 5.55e-17, not 0; every later term is an
+        # exact 0, so the tail bound is 0 and only the floor covers it
+        terms = (0.1, 0.2, -0.3)
+        res = sum_series(lambda m: terms[m - 1] if m <= 3 else 0.0, 1)
+        assert res.value == 0.1 + 0.2 - 0.3  # the value is the plain sum
+        assert res.evaluations == 6 and res.converged
+        assert res.err_estimate == ROUNDING * (0.1 + 0.2 + 0.3)
+        assert abs(res.value) <= res.err_estimate
 
     def test_converged_error_bound_invariant(self):
         tol = Tolerance()

@@ -3,11 +3,13 @@ import math
 import mpmath
 import pytest
 
-from casimir.engine import Tolerance
+from casimir.engine import DEFAULT_TOL, Tolerance
 from casimir.matsubara import (
+    ROUTE_SPLIT_NAT,
     CavityConfig,
     EnergyValue,
     free_energy,
+    free_energy_quad,
     free_energy_T0,
     free_energy_lowT,
     internal_energy,
@@ -17,7 +19,11 @@ from casimir.matsubara import (
     internal_energy_lowT,
     internal_energy_highT_asymptote,
     pressure,
+    pressure_quad,
+    _kernel_direct,
+    _kernel_dual,
     _poisson_bracket,
+    _thermal_kernel,
 )
 
 ZETA3 = 1.2020569031595943
@@ -60,6 +66,41 @@ def pressure_mp(a, T, n):
         if abs(t) < ctx.mpf(10) ** -20 * abs(total):
             return float(-T / ctx.pi * total)
         m += 1
+
+
+def free_energy_mp(a, T, n):
+    """F at 20 digits, each Matsubara integral in closed polylog form,
+    I(x) = -(x/2a) Li2(y) - Li3(y)/(4a^2) with y = e^(-2 a x)."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 20
+    a, T, n = ctx.mpf(a), ctx.mpf(T), ctx.mpf(n)
+
+    def I(x):
+        y = ctx.exp(-2 * a * x)
+        return -(x / (2 * a)) * ctx.polylog(2, y) - ctx.polylog(3, y) / (4 * a * a)
+
+    total = -ctx.zeta(3) / (8 * a * a)  # the m = 0 term at half weight
+    m = 1
+    while True:
+        t = I(2 * ctx.pi * m * T * n)
+        total += t
+        if abs(t) < ctx.mpf(10) ** -20 * abs(total):
+            return float(T / ctx.pi * total)
+        m += 1
+
+
+# the naT grid of the F and P error-bar tests: both sides of the route
+# split, and far below it
+NAT_GRID = [
+    (1e-3, 1.3, 1.5),
+    (0.01, 1.0, 2.0),
+    (0.29, 1.0, 1.0),
+    (0.31, 1.0, 1.0),
+    (0.5, 1.0, 1.0),
+    (1.0, 1.0, 1.0),
+    (2.0, 2.0, 1.0),
+    (5.0, 1.1, 1.3),
+]
 
 
 class TestConfigAndValue:
@@ -110,6 +151,22 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             free_energy(cavity(0.0))
 
+    @pytest.mark.parametrize("naT, a, n", NAT_GRID)
+    def test_within_err_estimate_of_mpmath(self, naT, a, n):
+        T = naT / (n * a)
+        f = free_energy(cavity(T, n=n, a=a))
+        assert f.converged
+        assert f.method == ("direct_sum" if naT >= ROUTE_SPLIT_NAT else "poisson_resummed")
+        assert abs(f.value - free_energy_mp(a, T, n)) <= f.err_estimate
+
+    @pytest.mark.parametrize("naT", [0.3, 1.0, 2.0])
+    def test_quadrature_check_route(self, naT):
+        cfg = cavity(naT, n=1.2, a=1.1)
+        for quad, kernel in ((free_energy_quad, free_energy), (pressure_quad, pressure)):
+            q, k = quad(cfg), kernel(cfg)
+            assert q.method == "quadrature" and q.converged
+            assert abs(q.value - k.value) <= q.err_estimate + k.err_estimate
+
     def test_T0_closed_form(self):
         assert free_energy_T0(cavity(0.0)).value == pytest.approx(-PI2_720, rel=1e-14)
         assert free_energy_T0(cavity(0.0, n=2.0)).value == pytest.approx(
@@ -151,6 +208,13 @@ class TestInternalEnergyRoutes:
         u_rs = internal_energy_resummed(cavity(0.2))
         assert u_fd.value == pytest.approx(u_rs.value, rel=1e-6)
 
+    def test_from_F_within_err_estimate_at_low_temperature(self):
+        # about 260 Matsubara terms; the resummed route is exact to rounding here
+        cfg = cavity(0.01)
+        u_fd = internal_energy_from_F(cfg)
+        assert u_fd.converged
+        assert abs(u_fd.value - internal_energy_resummed(cfg).value) <= u_fd.err_estimate
+
     def test_from_F_very_high_temperature(self):
         # U ~ -4 pi 125 e^(-20 pi): both routes far below 1e-20
         u_fd = internal_energy_from_F(cavity(5.0))
@@ -161,6 +225,41 @@ class TestInternalEnergyRoutes:
     def test_dispatch(self):
         assert internal_energy(cavity(0.29)).method == "poisson_resummed"
         assert internal_energy(cavity(0.31)).method == "direct_sum"
+
+
+class TestThermalKernel:
+    """S(u) = sum_j j^-3 [coth(ju) + ju/sinh^2(ju)], the one function of
+    u = 2 pi naT behind F and P."""
+
+    @pytest.mark.parametrize("naT", [0.2, ROUTE_SPLIT_NAT, 0.5])
+    def test_direct_and_dual_agree(self, naT):
+        u = 2.0 * math.pi * naT
+        direct, dual = _kernel_direct(u, 10**6), _kernel_dual(u, 10**6)
+        assert direct.converged and dual.converged
+        assert abs(direct.s - dual.s) <= direct.err_s + dual.err_s
+        assert abs(direct.ds - dual.ds) <= direct.err_ds + dual.err_ds
+        # summed to rounding, not to a tolerance
+        assert direct.err_s < 1e-14 * direct.s and direct.err_ds < 1e-14 * abs(direct.ds)
+
+    @pytest.mark.parametrize("naT", [0.3, 1.0, 2.0])
+    def test_derivative_is_the_internal_energy(self, naT):
+        # U = d(beta F)/d beta = u T S'(u)/(8 pi a^2)
+        a, n = 1.2, 1.3
+        cfg = CavityConfig(a=a, T=naT / (n * a), n=n)
+        k = _thermal_kernel(cfg, DEFAULT_TOL)
+        u = 2.0 * math.pi * naT
+        u_kernel = u * cfg.T * k.ds / (8.0 * math.pi * a * a)
+        assert u_kernel == pytest.approx(internal_energy_direct(cfg).value, rel=1e-14)
+
+    def test_low_temperature_limit_is_the_expansion(self):
+        # below the split F is the closed expansion plus e^(-pi/naT) terms
+        cfg = cavity(0.02)
+        f = free_energy(cfg)
+        assert f.value == pytest.approx(free_energy_lowT(cfg).value, rel=1e-15)
+
+    def test_max_iter_flags(self):
+        assert not free_energy(cavity(0.3), Tolerance(max_iter=2)).converged
+        assert not pressure(cavity(0.3), Tolerance(max_iter=2)).converged
 
 
 class TestClosedForms:
@@ -249,18 +348,7 @@ class TestPressure:
         assert p.value == pytest.approx(-ZETA3 / (4.0 * math.pi), rel=1e-3)
         assert p.method == "direct_sum"
 
-    @pytest.mark.parametrize(
-        "naT, a, n",
-        [
-            (1e-3, 1.3, 1.5),
-            (0.01, 1.0, 2.0),
-            (0.3, 1.0, 1.0),
-            (0.5, 1.0, 1.0),
-            (1.0, 1.0, 1.0),
-            (2.0, 2.0, 1.0),
-            (5.0, 1.1, 1.3),
-        ],
-    )
+    @pytest.mark.parametrize("naT, a, n", NAT_GRID + [(0.3, 1.0, 1.0)])
     def test_within_err_estimate_of_mpmath(self, naT, a, n):
         T = naT / (n * a)
         p = pressure(cavity(T, n=n, a=a))

@@ -36,6 +36,10 @@ CALLS = [
     # every command, csv and json
     ["free-energy", "--a", "1", "--T", "0.7"],
     ["free-energy", "--T", "0", "--format", "json"],
+    # F and P on both sides of the naT = 0.3 route split, and far below it
+    ["free-energy", "--T", "0.29"],
+    ["free-energy", "--T", "0.31"],
+    ["pressure", "--T", "0.001", "--format", "json"],
     ["internal-energy", "--a", "1", "--T", "1", "--n", "1"],
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
     ["em-energy", "--a", "1", "--n", "1"],
