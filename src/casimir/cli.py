@@ -216,8 +216,8 @@ def _crosscheck_rows(tol: Tolerance) -> list[dict]:
     for naT in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0):
         cfg = CavityConfig(a=1.0, T=naT)
         check(
-            f"U_direct=U_resummed@naT={naT:g}",
-            matsubara.internal_energy_direct(cfg, tol).value,
+            f"U=U_resummed@naT={naT:g}",
+            matsubara.internal_energy(cfg, tol).value,
             matsubara.internal_energy_resummed(cfg, tol).value,
             1e-9,
         )

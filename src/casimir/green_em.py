@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series
+from .engine import ROUNDING, Tolerance, DEFAULT_TOL, adaptive_quad, sum_series
 from .matsubara import CavityConfig, EnergyValue
 
 __all__ = [
@@ -211,6 +211,8 @@ def em_energy_finiteT(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> Energy
 
     series = sum_series(term, start=1, tol=tol)
     pref = 4.0 * math.pi * cfg.n**2 * cfg.T**3
-    return EnergyValue(
-        pref * series.value, abs(pref) * series.err_estimate, "direct_sum", series.converged
-    )
+    value = pref * series.value
+    # the rounding of alpha, amplified by |d ln W/d ln alpha| <= 3 + alpha,
+    # and of the prefactor
+    err = abs(pref) * series.err_estimate + ROUNDING * (4.0 + alpha) * abs(value)
+    return EnergyValue(value, err, "direct_sum", series.converged)

@@ -26,13 +26,15 @@ alpha beta = pi^2) gives the exact dual with v = pi^2/u,
 
 whose closed part is the low-temperature expansion and whose S(v) falls
 like e^(-2 pi^2/u).  Either way a handful of terms reach rounding; the
-error estimate is the geometric tail bound plus a rounding term.  The
-per-term quadrature of I (and, for P, of -d/da under the sum,
--int_x^inf 2 kappa^2/(e^(2 kappa a) - 1) dkappa) is kept as the
-independent check route free_energy_quad / pressure_quad (casimir
-crosscheck, beside the finite difference of F in a).  The internal
-energy U = d(beta F)/d beta is computed by three independent routes that
-must agree:
+error estimate is the geometric tail bound plus a rounding term.  F, P
+and U all read this kernel, so no production route needs quadrature or
+mpmath.
+
+Each production quantity keeps independent check routes (casimir
+crosscheck).  For F and P they are the per-term quadrature of I (and,
+for P, of -d/da under the sum, -int_x^inf 2 kappa^2/(e^(2 kappa a) - 1)
+dkappa), free_energy_quad / pressure_quad, beside the finite difference
+of F in a.  For U there are three:
 
 * ``internal_energy_direct``    -pi n^2 T^3 sum_m coth(2 pi n m a T) /
                                 (m sinh^2(2 pi n m a T)); geometric
@@ -53,9 +55,9 @@ Extended precision: the resummed series is an exact rearrangement in which
 a closed polynomial part (the low-temperature expansion) cancels against an
 exponentially convergent remainder sum.  At naT of a few, the result is
 smaller than the individual pieces by a factor e^(-4 pi naT), far below
-double-precision resolution of the pieces, so this route evaluates in
-mpmath with a working precision scaled to the cancellation and rounds the
-final value to float.
+double-precision resolution of the pieces, so this check route evaluates
+in mpmath with a working precision scaled to the cancellation and rounds
+the final value to float.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ METHOD_TAGS = (
 )
 
 # naT threshold separating the geometric regimes of the direct and dual
-# series (of U, and of the S kernel of F and P).
+# sums of the S kernel behind F, U and P.
 ROUTE_SPLIT_NAT = 0.3
 
 
@@ -312,20 +314,11 @@ def internal_energy_direct(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
 
     series = sum_series(term, start=1, tol=tol)
     pref = -math.pi * cfg.n**2 * cfg.T**3
-    return EnergyValue(
-        pref * series.value, abs(pref) * series.err_estimate, "direct_sum", series.converged
-    )
-
-
-def _poisson_bracket(x: float) -> float:
-    """Summand bracket of the dual series:
-    -3 + x coth x + (x^2/sinh^2 x)(1 + x coth x).  Tends to x - 3 for
-    large x and to -x^4/45 for small x."""
-    if x > 350.0:
-        return x - 3.0
-    c = 1.0 / math.tanh(x)
-    s2 = math.sinh(x) ** 2
-    return -3.0 + x * c + (x * x / s2) * (1.0 + x * c)
+    value = pref * series.value
+    # the rounding of x1, amplified by |d ln U/d ln x1| <= 3 + 2 x1, and
+    # of the prefactor
+    err = abs(pref) * series.err_estimate + ROUNDING * (4.0 + 2.0 * x1) * abs(value)
+    return EnergyValue(value, err, "direct_sum", series.converged)
 
 
 def _mp_bracket_remainder(ctx, x):
@@ -425,14 +418,19 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
 
 
 def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Internal energy, dispatching to whichever series converges
-    geometrically in the given regime (direct for naT >= 0.3, resummed
-    below)."""
+    """Internal energy U = u T S'(u)/(8 pi a^2) = n T^2 S'(u)/(4a) at
+    T > 0, from the kernel of free_energy and pressure; at T = 0 the
+    exact low-temperature limit."""
     if cfg.T == 0:
-        return internal_energy_lowT(cfg)  # exact at T = 0
-    if cfg.naT >= ROUTE_SPLIT_NAT:
-        return internal_energy_direct(cfg, tol)
-    return internal_energy_resummed(cfg, tol)
+        return internal_energy_lowT(cfg)
+    pref = cfg.n * cfg.T**2 / (4.0 * cfg.a)  # T**2 raises OverflowError, not inf * 0
+    k = _thermal_kernel(cfg, tol)
+    u = 2.0 * math.pi * cfg.naT
+    value = pref * k.ds
+    # the rounding of u, amplified by |d ln U/d ln u| <= 2 + 2u, and of
+    # the prefactor
+    err = pref * k.err_ds + ROUNDING * (3.0 + 2.0 * u) * abs(value)
+    return EnergyValue(value, err, k.method, k.converged)
 
 
 def internal_energy_lowT(cfg: CavityConfig) -> EnergyValue:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from casimir.engine import Tolerance
@@ -126,6 +127,26 @@ class TestEnergyFiniteT:
         w = em_energy_finiteT(cfg)
         u = internal_energy_direct(cfg)
         assert abs(w.value - u.value) / abs(u.value) <= 1e-10
+
+    @pytest.mark.parametrize("naT", [0.011, 0.5, 1.0, 2.0, 5.0])
+    def test_within_err_estimate_of_mpmath(self, naT):
+        # W = 4 pi n^2 T^3 sum_m m^2 ln(1 - e^(-alpha m)) at 30 digits, with
+        # alpha = 4 pi naT formed from the exact float inputs
+        a, n = 1.1, 1.3
+        cfg = CavityConfig(a=a, T=naT / (n * a), n=n)
+        with mpmath.workdps(30):
+            a_, T_, n_ = (mpmath.mpf(x) for x in (cfg.a, cfg.T, cfg.n))
+            alpha = 4 * mpmath.pi * n_ * a_ * T_
+            total, m = mpmath.mpf(0), 1
+            while True:
+                t = m * m * mpmath.log1p(-mpmath.exp(-alpha * m))
+                total += t
+                if abs(t) < mpmath.mpf(10) ** -25 * abs(total):
+                    break
+                m += 1
+            ref = float(4 * mpmath.pi * n_**2 * T_**3 * total)
+        w = em_energy_finiteT(cfg)
+        assert abs(w.value - ref) <= w.err_estimate
 
     def test_high_temperature_value(self):
         w = em_energy_finiteT(CavityConfig(a=1.0, T=2.0))

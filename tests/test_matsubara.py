@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import casimir
 from casimir.engine import DEFAULT_TOL, Tolerance
 from casimir.matsubara import (
     ROUTE_SPLIT_NAT,
@@ -22,7 +26,6 @@ from casimir.matsubara import (
     pressure_quad,
     _kernel_direct,
     _kernel_dual,
-    _poisson_bracket,
     _thermal_kernel,
 )
 
@@ -89,7 +92,23 @@ def free_energy_mp(a, T, n):
         m += 1
 
 
-# the naT grid of the F and P error-bar tests: both sides of the route
+def internal_energy_mp(a, T, n):
+    """U at 30 digits from the hyperbolic sum, with x = 2 pi naT formed
+    from the exact float inputs."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    a, T, n = ctx.mpf(a), ctx.mpf(T), ctx.mpf(n)
+    x = 2 * ctx.pi * n * a * T
+    total, m = ctx.mpf(0), 1
+    while True:
+        t = ctx.coth(x * m) / (m * ctx.sinh(x * m) ** 2)
+        total += t
+        if t < ctx.mpf(10) ** -25 * total:
+            return float(-ctx.pi * n * n * T**3 * total)
+        m += 1
+
+
+# the naT grid of the F, U and P error-bar tests: both sides of the route
 # split, and far below it
 NAT_GRID = [
     (1e-3, 1.3, 1.5),
@@ -194,10 +213,6 @@ class TestInternalEnergyRoutes:
         assert ud.converged and ur.converged
         assert abs(ud.value - ur.value) / abs(ud.value) <= 1e-9
 
-    def test_poisson_bracket_vanishes_at_high_T(self):
-        # m=1 bracket at naT=100: argument pi/200, bracket ~ -x^4/45
-        assert abs(_poisson_bracket(math.pi / 200.0)) < 1e-3
-
     def test_from_F_matches_direct_absolute(self):
         u_fd = internal_energy_from_F(cavity(1.0))
         assert abs(u_fd.value - U_111) < 1e-7
@@ -225,6 +240,36 @@ class TestInternalEnergyRoutes:
     def test_dispatch(self):
         assert internal_energy(cavity(0.29)).method == "poisson_resummed"
         assert internal_energy(cavity(0.31)).method == "direct_sum"
+
+    @pytest.mark.parametrize("naT, a, n", NAT_GRID)
+    def test_within_err_estimate_of_mpmath(self, naT, a, n):
+        T = naT / (n * a)
+        u = internal_energy(cavity(T, n=n, a=a))
+        assert u.converged
+        assert u.method == ("direct_sum" if naT >= ROUTE_SPLIT_NAT else "poisson_resummed")
+        assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
+
+    @pytest.mark.parametrize("naT", [0.5, 1.0, 2.0, 5.0])
+    def test_direct_within_err_estimate_of_mpmath(self, naT):
+        # the rounding of x1 = 2 pi naT is amplified by about 2 x1 in U
+        a, n = 1.1, 1.3
+        T = naT / (n * a)
+        u = internal_energy_direct(cavity(T, n=n, a=a))
+        assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
+
+    def test_no_extended_precision_on_production_routes(self):
+        code = (
+            "import sys; from casimir.matsubara import *\n"
+            "for naT in (0.01, 0.29, 0.31, 5.0):\n"
+            "    cfg = CavityConfig(a=1.0, T=naT)\n"
+            "    free_energy(cfg), internal_energy(cfg), pressure(cfg)\n"
+            "print('mpmath' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(casimir.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestThermalKernel:

@@ -36,9 +36,11 @@ CALLS = [
     # every command, csv and json
     ["free-energy", "--a", "1", "--T", "0.7"],
     ["free-energy", "--T", "0", "--format", "json"],
-    # F and P on both sides of the naT = 0.3 route split, and far below it
+    # F, U and P on both sides of the naT = 0.3 route split, and far below it
     ["free-energy", "--T", "0.29"],
     ["free-energy", "--T", "0.31"],
+    ["internal-energy", "--T", "0.29"],
+    ["internal-energy", "--T", "0.31"],
     ["pressure", "--T", "0.001", "--format", "json"],
     ["internal-energy", "--a", "1", "--T", "1", "--n", "1"],
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
@@ -71,6 +73,7 @@ CALLS = [
     ["internal-energy", "--T", "0.5", "--max-iter", "2"],
     ["circuit", "--max-iter", "2"],
     ["cutoff-sum", "--D", "3"],
+    ["internal-energy", "--T", "1e300"],
     ["pressure", "--T", "0", "--a", "1e-100"],
     ["free-energy", "--T", "0", "--a", "1e-104", "--format", "json"],
     # usage errors
