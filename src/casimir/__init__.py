@@ -9,11 +9,10 @@ Natural units hbar = c = k_B = 1 throughout; energies are per unit plate
 area.
 """
 
-from .engine import Tolerance, NumericResult, adaptive_quad, sum_series, finite_diff
+from .engine import Tolerance, EnergyValue, adaptive_quad, sum_series, finite_diff
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import (
     CavityConfig,
-    EnergyValue,
     free_energy,
     free_energy_quad,
     free_energy_T0,

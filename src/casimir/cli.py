@@ -29,7 +29,7 @@ import math
 import os
 import sys
 
-from .engine import Tolerance, finite_diff
+from .engine import EnergyValue, Tolerance, finite_diff
 from . import matsubara, green_em, dispersion, circuit as circuit_mod, hyperdim
 from .matsubara import CavityConfig
 from .dispersion import LorentzModel, CutoffSpec
@@ -132,11 +132,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
         ev = matsubara.free_energy_T0(cfg) if cfg.T == 0 else matsubara.free_energy(cfg, tol)
         return [_energy_row(_COLUMNS[command], params, ev)]
     if command == "internal-energy":
-        if cfg.T == 0:
-            ev = matsubara.free_energy_T0(cfg)  # U(0) = F(0)
-        else:
-            ev = matsubara.internal_energy(cfg, tol)
-        return [_energy_row(_COLUMNS[command], params, ev)]
+        return [_energy_row(_COLUMNS[command], params, matsubara.internal_energy(cfg, tol))]
     if command == "em-energy":
         ev = green_em.em_energy_T0(cfg, tol) if cfg.T == 0 else green_em.em_energy_finiteT(cfg, tol)
         return [_energy_row(_COLUMNS[command], params, ev)]
@@ -160,7 +156,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
         rows = []
         for om, val in res.scan:
             p = dict(resolved, omega_max=om)
-            ev = matsubara.EnergyValue(val, res.value.err_estimate, "quadrature", res.value.converged)
+            ev = EnergyValue(val, res.value.err_estimate, "quadrature", res.value.converged)
             rows.append(_energy_row(cols, p, ev))
         return rows
     if command == "circuit":
@@ -173,7 +169,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
             phi_sq_bar=params["phi_sq"],
         )
         energy = circuit_mod.circuit_energy(spec)
-        ev = matsubara.EnergyValue(energy.value, abs(energy.value) * 1e-12, "closed_form")
+        ev = EnergyValue(energy.value, abs(energy.value) * 1e-12, "closed_form")
         return [_energy_row(_COLUMNS[command], dict(params, eps_bar=model.eps_bar), ev)]
     if command == "cutoff-sum":
         hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])

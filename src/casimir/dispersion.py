@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad
-from .matsubara import CavityConfig, EnergyValue
+from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance, adaptive_quad
+from .matsubara import CavityConfig
 
 __all__ = [
     "LorentzModel",
@@ -193,9 +193,8 @@ def w_I_energy(
 
     outer = adaptive_quad(integrand, 0.0, math.inf, outer_tol)
     pref = cfg.a / (2.0 * math.pi**2)
-    return EnergyValue(
-        pref * outer.value, abs(pref) * outer.err_estimate, "quadrature", outer.converged
-    )
+    err = abs(pref) * outer.err_estimate
+    return EnergyValue(pref * outer.value, err, "quadrature", outer.converged, outer.evaluations)
 
 
 @dataclass(frozen=True)
@@ -237,15 +236,12 @@ def w2_density_cutoff(
         return CutoffEnergyResult(zero, tuple((cut.omega_max * 2**j, 0.0) for j in range(3)))
 
     edges = [0.0] + [cut.omega_max * 2**j for j in range(3)]
-    acc = 0.0
-    err = 0.0
-    ok = True
+    acc = Accumulator()
     scan = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = adaptive_quad(integrand, lo, hi, seg_tol)
-        acc += seg.value
-        err += seg.err_estimate
-        ok &= seg.converged
-        scan.append((hi, pref * acc))
-    value = EnergyValue(scan[0][1], abs(pref) * err, "quadrature", ok)
+        acc.take(adaptive_quad(integrand, lo, hi, seg_tol))
+        scan.append((hi, pref * acc.value))
+    value = EnergyValue(
+        scan[0][1], abs(pref) * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
+    )
     return CutoffEnergyResult(value, tuple(scan))

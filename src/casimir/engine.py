@@ -1,5 +1,7 @@
 """Generic numerical kernel: adaptive quadrature, series summation and
-Richardson-extrapolated central differences.
+Richardson-extrapolated central differences, each returning the
+package's one result type, EnergyValue.  A route that combines several
+results folds them through an Accumulator that it creates per call.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so all routines are safe to call concurrently.
@@ -24,9 +26,12 @@ from typing import Callable
 
 __all__ = [
     "Tolerance",
-    "NumericResult",
+    "EnergyValue",
+    "METHOD_TAGS",
+    "Accumulator",
     "DEFAULT_TOL",
     "ROUNDING",
+    "UNDERFLOW",
     "adaptive_quad",
     "sum_series",
     "finite_diff",
@@ -51,6 +56,19 @@ _GL_WEIGHTS = tuple(w for _, w in _GL_HALF[:0:-1]) + tuple(w for _, w in _GL_HAL
 # Rounding floor of a floating-point sum, per unit of the summed
 # magnitudes: c * eps * sum |terms| with c = 4.
 ROUNDING = 4.0 * sys.float_info.epsilon
+# Its absolute counterpart, c * ulp(0) per summed term: subnormal terms
+# are rounded to the fixed spacing ulp(0), where a relative floor vanishes.
+UNDERFLOW = 4.0 * math.ulp(0.0)
+
+METHOD_TAGS = (
+    "direct_sum",
+    "poisson_resummed",
+    "low_T_expansion",
+    "high_T_asymptote",
+    "quadrature",
+    "finite_difference",
+    "closed_form",
+)
 
 
 @dataclass(frozen=True)
@@ -81,30 +99,52 @@ DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True)
-class NumericResult:
-    """Value with an error estimate and convergence bookkeeping.
-
-    When converged is True, err_estimate <= max(rel*|value|, abs) for the
-    tolerance the computation ran with.
-    """
+class EnergyValue:
+    """A computed value with an error estimate, the tag of the route that
+    produced it (one of METHOD_TAGS), a convergence flag and the number of
+    integrand or term evaluations spent.  A non-finite value or
+    err_estimate is never converged; a converged engine result has
+    err_estimate <= max(rel*|value|, abs) for its tolerance."""
 
     value: float
     err_estimate: float
-    evaluations: int
-    converged: bool
+    method: str
+    converged: bool = True
+    evaluations: int = 0
+
+    def __post_init__(self):
+        if self.err_estimate < 0:
+            raise ValueError("err_estimate must be >= 0")
+        if self.method not in METHOD_TAGS:
+            raise ValueError(f"unknown method tag {self.method!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.err_estimate)):
+            object.__setattr__(self, "converged", False)
 
     def __float__(self) -> float:
         return self.value
 
 
-class _Counter:
-    __slots__ = ("n",)
+@dataclass(slots=True)
+class Accumulator:
+    """Sums of the values, error estimates and evaluations of the results
+    taken, and the AND of their convergence flags.  An Accumulator can be
+    taken into another."""
 
-    def __init__(self):
-        self.n = 0
+    value: float = 0.0
+    err_estimate: float = 0.0
+    evaluations: int = 0
+    converged: bool = True
+
+    def take(self, result) -> float:
+        """Fold result in and return its value."""
+        self.value += result.value
+        self.err_estimate += result.err_estimate
+        self.evaluations += result.evaluations
+        self.converged = self.converged and result.converged
+        return result.value
 
 
-def _gl15(f: Callable[[float], float], a: float, b: float, counter: _Counter) -> float:
+def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = 0.0
@@ -113,7 +153,6 @@ def _gl15(f: Callable[[float], float], a: float, b: float, counter: _Counter) ->
         if fx != fx:  # NaN from the integrand is a hard error
             raise ValueError(f"integrand returned NaN at x={mid + half * x!r}")
         total += w * fx
-    counter.n += 15
     return half * total
 
 
@@ -123,13 +162,15 @@ def adaptive_quad(
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
     max_panels: int = 2000,
-) -> NumericResult:
+) -> EnergyValue:
     """Integrate f over (lo, hi); hi may be math.inf.
 
     Globally adaptive bisection: the panel with the largest error estimate
     (|coarse - sum of halves|) is split until the summed estimate meets
     tol.  Non-convergence within max_panels subdivisions is reported via
-    converged=False rather than raised; a NaN integrand raises.
+    converged=False rather than raised; a NaN integrand raises.  The
+    first panel applies the 15-point rule three times (whole and halves)
+    and each split four times, so f is called 45 + 60 * splits times.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
@@ -147,16 +188,15 @@ def adaptive_quad(
     return _adaptive_finite(f, lo, hi, tol, max_panels)
 
 
-def _adaptive_finite(f, a: float, b: float, tol: Tolerance, max_panels: int) -> NumericResult:
-    counter = _Counter()
+def _adaptive_finite(f, a: float, b: float, tol: Tolerance, max_panels: int) -> EnergyValue:
     tie = itertools.count()
 
     def make_panel(lo, hi, whole=None):
         if whole is None:
-            whole = _gl15(f, lo, hi, counter)
+            whole = _gl15(f, lo, hi)
         mid = 0.5 * (lo + hi)
-        left = _gl15(f, lo, mid, counter)
-        right = _gl15(f, mid, hi, counter)
+        left = _gl15(f, lo, mid)
+        right = _gl15(f, mid, hi)
         fine = left + right
         err = abs(whole - fine)
         return (-err, next(tie), lo, hi, fine, left, right)
@@ -165,9 +205,9 @@ def _adaptive_finite(f, a: float, b: float, tol: Tolerance, max_panels: int) -> 
     total = heap[0][4]
     total_err = -heap[0][0]
 
-    for _ in range(max_panels):
+    for splits in range(max_panels):
         if total_err <= tol.target(total):
-            return NumericResult(total, total_err, counter.n, True)
+            return EnergyValue(total, total_err, "quadrature", True, 45 + 60 * splits)
         neg_err, _, lo, hi, fine, left, right = heapq.heappop(heap)
         total -= fine
         total_err += neg_err
@@ -177,14 +217,15 @@ def _adaptive_finite(f, a: float, b: float, tol: Tolerance, max_panels: int) -> 
             total += child[4]
             total_err -= child[0]
 
-    return NumericResult(total, total_err, counter.n, total_err <= tol.target(total))
+    converged = total_err <= tol.target(total)
+    return EnergyValue(total, total_err, "quadrature", converged, 45 + 60 * max_panels)
 
 
 def sum_series(
     term: Callable[[int], float],
     start: int = 1,
     tol: Tolerance = DEFAULT_TOL,
-) -> NumericResult:
+) -> EnergyValue:
     """Sum term(m) for m >= start until the stopping rule holds.
 
     Stops once |term(m)| < tol.abs and |term(m)| < tol.rel*|partial sum|
@@ -192,8 +233,9 @@ def sum_series(
     eventually monotone decreasing; the error estimate is the remainder
     bound |t| r/(1-r) built from the last term and the observed decay
     ratio r (falling back to |t| when the ratio is not contractive), plus
-    the rounding floor ROUNDING * sum |terms| of the partial sum itself.
-    Neither the values nor the stopping rule depend on the floor.
+    the rounding floor ROUNDING * sum |terms| of the partial sum itself
+    and the underflow floor UNDERFLOW per summed term.  Neither the values
+    nor the stopping rule depend on the floors.
     """
     partial = magnitude = 0.0
     streak = 0
@@ -210,13 +252,14 @@ def sum_series(
         if last < tol.abs and (last == 0.0 or last < tol.rel * abs(partial)):
             streak += 1
             if streak >= 3:
-                err = _tail_bound(last, prev) + ROUNDING * magnitude
-                return NumericResult(partial, err, m - start + 1, err <= tol.target(partial))
+                count = m - start + 1
+                err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * count
+                return EnergyValue(partial, err, "direct_sum", err <= tol.target(partial), count)
         else:
             streak = 0
         m += 1
-    err = _tail_bound(last, prev) + ROUNDING * magnitude
-    return NumericResult(partial, err, m - start, False)
+    err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * (m - start)
+    return EnergyValue(partial, err, "direct_sum", False, m - start)
 
 
 def _tail_bound(last: float, prev: float) -> float:
@@ -226,7 +269,7 @@ def _tail_bound(last: float, prev: float) -> float:
     return last
 
 
-def finite_diff(f: Callable[[float], float], x: float, h: float) -> NumericResult:
+def finite_diff(f: Callable[[float], float], x: float, h: float) -> EnergyValue:
     """Derivative f'(x) by one Richardson step on central differences.
 
     With D(s) = (f(x+s) - f(x-s)) / (2s), the value is
@@ -238,4 +281,5 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> NumericResul
         raise ValueError(f"step h must be > 0, got {h}")
     d_h = (f(x + h) - f(x - h)) / (2.0 * h)
     d_h2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return NumericResult((4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0, 4, True)
+    value, err = (4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0
+    return EnergyValue(value, err, "finite_difference", True, 4)

@@ -50,8 +50,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import ROUNDING, Tolerance, DEFAULT_TOL, adaptive_quad, sum_series
-from .matsubara import CavityConfig, EnergyValue
+from .engine import ROUNDING, DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
+from .engine import adaptive_quad, sum_series
+from .matsubara import CavityConfig
 
 __all__ = [
     "SpectralGreens",
@@ -158,7 +159,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
     inner_rel = max(1e-13, min(tol.rel * 1e-2, 1e-12))
     inner_tol = Tolerance(rel=inner_rel, abs=0.0, max_iter=tol.max_iter)
     outer_tol = Tolerance(rel=tol.rel, abs=0.0, max_iter=tol.max_iter)
-    state = {"ok": True}
+    inner_acc = Accumulator()
 
     def inner(zeta: float) -> float:
         def f(k: float) -> float:
@@ -168,9 +169,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
                 return 0.0
             return k / (kappa * math.expm1(arg))
 
-        res = adaptive_quad(f, 0.0, math.inf, inner_tol)
-        state["ok"] &= res.converged
-        return zeta * zeta * res.value
+        return zeta * zeta * inner_acc.take(adaptive_quad(f, 0.0, math.inf, inner_tol))
 
     outer = adaptive_quad(inner, 0.0, math.inf, outer_tol)
     pref = -n2 * cfg.a / math.pi**2
@@ -178,7 +177,8 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
         pref * outer.value,
         abs(pref) * outer.err_estimate,
         "quadrature",
-        outer.converged and state["ok"],
+        outer.converged and inner_acc.converged,
+        outer.evaluations + inner_acc.evaluations,
     )
 
 
@@ -196,7 +196,8 @@ def em_energy_T0_polar(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> Energ
         lambda z: z**3 / math.expm1(z) if z < 709.0 else 0.0, 0.0, math.inf, tol
     )
     pref = -1.0 / (48.0 * math.pi**2 * cfg.n * cfg.a**3)
-    return EnergyValue(pref * res.value, abs(pref) * res.err_estimate, "quadrature", res.converged)
+    err = abs(pref) * res.err_estimate
+    return EnergyValue(pref * res.value, err, "quadrature", res.converged, res.evaluations)
 
 
 def em_energy_finiteT(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
@@ -215,4 +216,4 @@ def em_energy_finiteT(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> Energy
     # the rounding of alpha, amplified by |d ln W/d ln alpha| <= 3 + alpha,
     # and of the prefactor
     err = abs(pref) * series.err_estimate + ROUNDING * (4.0 + alpha) * abs(value)
-    return EnergyValue(value, err, "direct_sum", series.converged)
+    return EnergyValue(value, err, "direct_sum", series.converged, series.evaluations)

@@ -48,9 +48,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
+from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
+from .engine import adaptive_quad, finite_diff, sum_series
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
-from .matsubara import EnergyValue
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
 __all__ = [
@@ -120,11 +120,12 @@ def pressure_quadrature(
         err = abs(pref / cfg.n) * (
             abs(ang.value) * rad.err_estimate + abs(rad.value) * ang.err_estimate
         )
-        return EnergyValue(value, err, "quadrature", ang.converged and rad.converged)
+        converged, evaluations = ang.converged and rad.converged, ang.evaluations + rad.evaluations
+        return EnergyValue(value, err, "quadrature", converged, evaluations)
     if route == "cartesian":
         n2 = cfg.n**2
         inner_tol = Tolerance(rel=min(tol.rel * 1e-2, 1e-12), abs=0.0, max_iter=tol.max_iter)
-        state = {"ok": True}
+        inner_acc = Accumulator()
 
         def inner(zeta: float) -> float:
             def f(k: float) -> float:
@@ -134,16 +135,15 @@ def pressure_quadrature(
                     return 0.0
                 return kappa * k ** (d - 2) / math.expm1(arg)
 
-            res = adaptive_quad(f, 0.0, math.inf, inner_tol)
-            state["ok"] &= res.converged
-            return res.value
+            return inner_acc.take(adaptive_quad(f, 0.0, math.inf, inner_tol))
 
         outer = adaptive_quad(inner, 0.0, math.inf, tol)
         return EnergyValue(
             pref * outer.value,
             abs(pref) * outer.err_estimate,
             "quadrature",
-            outer.converged and state["ok"],
+            outer.converged and inner_acc.converged,
+            outer.evaluations + inner_acc.evaluations,
         )
     raise ValueError(f"unknown route {route!r}")
 
@@ -220,7 +220,8 @@ def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     # (~D^4 h^4 / 480) sits below the rounding noise (~eps/h)
     res = finite_diff(a_w1, cfg.a, cfg.a * 1.0e-4)
     fd = -res.value
-    return ident, EnergyValue(fd, res.err_estimate + abs(fd) * 1e-12, "finite_difference")
+    err = res.err_estimate + abs(fd) * 1e-12
+    return ident, EnergyValue(fd, err, "finite_difference", evaluations=res.evaluations)
 
 
 def _mode_sum(
@@ -234,7 +235,7 @@ def _mode_sum(
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
     power = 0.5 * (d - 3)
-    state = {"err": 0.0, "ok": True}
+    acc = Accumulator()
 
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
@@ -249,17 +250,14 @@ def _mode_sum(
 
         t_split = (_split - q) / (1.0 + _split - q) if q < _split < math.inf else 0.0
         edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
-        pieces = [adaptive_quad(g, lo, hi, quad_tol) for lo, hi in zip(edges, edges[1:])]
-        state["err"] += sum(p.err_estimate for p in pieces)
-        state["ok"] &= all(p.converged for p in pieces)
-        return sum(p.value for p in pieces)
+        pieces = Accumulator()
+        for lo, hi in zip(edges, edges[1:]):
+            pieces.take(adaptive_quad(g, lo, hi, quad_tol))
+        return acc.take(pieces)
 
-    series = sum_series(term, start=1, tol=tol)
+    series = acc.take(sum_series(term, start=1, tol=tol))
     return EnergyValue(
-        a_d * series.value,
-        a_d * (series.err_estimate + state["err"]),
-        "quadrature",
-        series.converged and state["ok"],
+        a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
     )
 
 

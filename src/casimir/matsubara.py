@@ -26,9 +26,11 @@ alpha beta = pi^2) gives the exact dual with v = pi^2/u,
 
 whose closed part is the low-temperature expansion and whose S(v) falls
 like e^(-2 pi^2/u).  Either way a handful of terms reach rounding; the
-error estimate is the geometric tail bound plus a rounding term.  F, P
-and U all read this kernel, so no production route needs quadrature or
-mpmath.
+error estimate is the geometric tail bound plus a rounding term and an
+underflow floor.  F, P and U all read this kernel, so no production
+route needs quadrature or mpmath.  Every route returns the engine's
+EnergyValue (re-exported here with METHOD_TAGS), whose evaluations count
+the engine work behind it: 0 for the kernel and the closed forms.
 
 Each production quantity keeps independent check routes (casimir
 crosscheck).  For F and P they are the per-term quadrature of I (and,
@@ -66,7 +68,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import ROUNDING, Tolerance, DEFAULT_TOL, adaptive_quad, sum_series, finite_diff
+from .engine import METHOD_TAGS, ROUNDING, UNDERFLOW, DEFAULT_TOL, Accumulator, EnergyValue
+from .engine import Tolerance, adaptive_quad, finite_diff, sum_series
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -87,19 +90,11 @@ __all__ = [
     "pressure_quad",
 ]
 
-METHOD_TAGS = (
-    "direct_sum",
-    "poisson_resummed",
-    "low_T_expansion",
-    "high_T_asymptote",
-    "quadrature",
-    "finite_difference",
-    "closed_form",
-)
-
 # naT threshold separating the geometric regimes of the direct and dual
 # sums of the S kernel behind F, U and P.
 ROUTE_SPLIT_NAT = 0.3
+
+_ZETA3 = riemann_zeta(3.0)
 
 
 @dataclass(frozen=True)
@@ -124,29 +119,6 @@ class CavityConfig:
         return self.n * self.a * self.T
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """A computed energy/pressure with an error estimate and a tag naming
-    the route that produced it (one of METHOD_TAGS).  A non-finite value
-    or err_estimate is never converged."""
-
-    value: float
-    err_estimate: float
-    method: str
-    converged: bool = True
-
-    def __post_init__(self):
-        if self.err_estimate < 0:
-            raise ValueError("err_estimate must be >= 0")
-        if self.method not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if not (math.isfinite(self.value) and math.isfinite(self.err_estimate)):
-            object.__setattr__(self, "converged", False)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _log_kernel(kappa: float, a: float) -> float:
     # kappa * ln(1 - e^(-2 kappa a)); log1p keeps the tail accurate.
     return kappa * math.log1p(-math.exp(-2.0 * kappa * a))
@@ -164,21 +136,17 @@ def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
     m = 0 term at half weight; the error estimate sums the series tail
     bound and every quadrature's estimate."""
     quad_tol = Tolerance(rel=min(tol.rel, 1e-12), abs=0.0, max_iter=tol.max_iter)
-    state = {"err": 0.0, "ok": True}
+    acc = Accumulator()
 
     def term(m: int) -> float:
         x = 2.0 * math.pi * m * cfg.T * cfg.n
-        res = adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol)
-        state["err"] += res.err_estimate
-        state["ok"] &= res.converged
-        return res.value
+        return acc.take(adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol))
 
     half_m0 = 0.5 * term(0)
-    series = sum_series(term, start=1, tol=tol)
+    series = acc.take(sum_series(term, start=1, tol=tol))
     pref = cfg.T / math.pi
-    value = pref * (half_m0 + series.value)
-    err = pref * (state["err"] + series.err_estimate)
-    return EnergyValue(value, err, "quadrature", series.converged and state["ok"])
+    value = pref * (half_m0 + series)
+    return EnergyValue(value, pref * acc.err_estimate, "quadrature", acc.converged, acc.evaluations)
 
 
 def free_energy_quad(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
@@ -217,30 +185,34 @@ def _hyperbolic_tails(u: float, max_iter: int) -> tuple:
 
     for u >~ 1.  Every term ratio of either sum is at most r = e^(-2u),
     so t r/(1 - r) bounds the tail after a term t; the sums stop once
-    that bound is below rounding.  Returns (R, D, tail_R, tail_D,
-    converged)."""
+    that bound is below rounding.  Returns (R, D, err_R, err_D,
+    converged); each error adds UNDERFLOW per term reached, all that is
+    left once the terms are subnormal (u >~ 354)."""
     r = math.exp(-2.0 * u)
     big_r = d = 0.0
     for j in range(1, max_iter + 1):
         x = j * u
         q = math.exp(-2.0 * x)
         if q == 0.0:  # this term and all later ones underflow
-            return big_r, d, 0.0, 0.0, True
+            tail_r, tail_d, ok = 0.0, 0.0, True
+            break
         one_minus = -math.expm1(-2.0 * x)
         t_r = (2.0 * q + 4.0 * x * q / one_minus) / (one_minus * j**3)
         t_d = 4.0 * q * (1.0 + q) / (one_minus**3 * j)
         big_r += t_r
         d += t_d
         tail_r, tail_d = t_r * r / (1.0 - r), t_d * r / (1.0 - r)
-        if tail_r <= ROUNDING * big_r and tail_d <= ROUNDING * d:
-            return big_r, d, tail_r, tail_d, True
-    return big_r, d, tail_r, tail_d, False
+        ok = tail_r <= ROUNDING * big_r and tail_d <= ROUNDING * d
+        if ok:
+            break
+    floor = UNDERFLOW * j
+    return big_r, d, tail_r + floor, tail_d + floor, ok
 
 
 def _kernel_direct(u: float, max_iter: int) -> _Kernel:
     """S and S' summed directly: S = zeta(3) + R(u), S' = -2u D(u)."""
     big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(u, max_iter)
-    s = riemann_zeta(3.0) + big_r
+    s = _ZETA3 + big_r
     ds = -2.0 * u * d
     err_s = tail_r + ROUNDING * s
     err_ds = 2.0 * u * tail_d + ROUNDING * abs(ds)
@@ -251,7 +223,7 @@ def _kernel_dual(u: float, max_iter: int) -> _Kernel:
     """S and S' from the exact dual at v = pi^2/u."""
     v = math.pi**2 / u
     big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(v, max_iter)
-    s_v = riemann_zeta(3.0) + big_r
+    s_v = _ZETA3 + big_r
     pieces = (math.pi**4 / (45.0 * u), -(u**3) / 45.0, (u / math.pi) ** 2 * s_v)
     d_pieces = (
         -(math.pi**4) / (45.0 * u * u),
@@ -318,7 +290,7 @@ def internal_energy_direct(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     # the rounding of x1, amplified by |d ln U/d ln x1| <= 3 + 2 x1, and
     # of the prefactor
     err = abs(pref) * series.err_estimate + ROUNDING * (4.0 + 2.0 * x1) * abs(value)
-    return EnergyValue(value, err, "direct_sum", series.converged)
+    return EnergyValue(value, err, "direct_sum", series.converged, series.evaluations)
 
 
 def _mp_bracket_remainder(ctx, x):
@@ -394,35 +366,30 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     beta = 1.0 / cfg.T
     h = 1e-4 * beta
     quad_tol = Tolerance(rel=1e-12, abs=0.0, max_iter=tol.max_iter)
-    state = {"err": 0.0, "ok": True}
+    quads, steps = Accumulator(), Accumulator()
 
     def beta_f_step(m: int, b: float) -> float:
         # beta F_m(b) - beta F_m(beta) = (1/pi) int_{x_m(b)}^{x_m(beta)}
         lo, hi = 2.0 * math.pi * m * cfg.n / b, 2.0 * math.pi * m * cfg.n / beta
         res = adaptive_quad(lambda k: _log_kernel(k, cfg.a), min(lo, hi), max(lo, hi), quad_tol)
-        state["ok"] &= res.converged
+        quads.take(res)
         return (res.value if lo < hi else -res.value) / math.pi
 
     def term(m: int) -> float:
-        res = finite_diff(lambda b: beta_f_step(m, b), beta, h)
-        state["err"] += res.err_estimate
-        return res.value
+        return steps.take(finite_diff(lambda b: beta_f_step(m, b), beta, h))
 
-    series = sum_series(term, start=1, tol=tol)
-    return EnergyValue(
-        series.value,
-        state["err"] + series.err_estimate,
-        "finite_difference",
-        series.converged and state["ok"],
-    )
+    value = steps.take(sum_series(term, start=1, tol=tol))
+    err = steps.err_estimate  # the quadratures count only in converged and evaluations
+    steps.take(quads)
+    return EnergyValue(value, err, "finite_difference", steps.converged, steps.evaluations)
 
 
 def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Internal energy U = u T S'(u)/(8 pi a^2) = n T^2 S'(u)/(4a) at
     T > 0, from the kernel of free_energy and pressure; at T = 0 the
-    exact low-temperature limit."""
+    closed form U(0) = F(0) of free_energy_T0."""
     if cfg.T == 0:
-        return internal_energy_lowT(cfg)
+        return free_energy_T0(cfg)
     pref = cfg.n * cfg.T**2 / (4.0 * cfg.a)  # T**2 raises OverflowError, not inf * 0
     k = _thermal_kernel(cfg, tol)
     u = 2.0 * math.pi * cfg.naT
@@ -440,11 +407,10 @@ def internal_energy_lowT(cfg: CavityConfig) -> EnergyValue:
     Valid for naT < 0.5; outside that range the value is still returned
     but flagged (converged=False)."""
     naT = cfg.naT
-    z3 = riemann_zeta(3.0)
     value = (
         -(math.pi**2)
         / (720.0 * cfg.n * cfg.a**3)
-        * (1.0 - 720.0 * (naT / math.pi) ** 3 * z3 + 48.0 * naT**4)
+        * (1.0 - 720.0 * (naT / math.pi) ** 3 * _ZETA3 + 48.0 * naT**4)
     )
     return EnergyValue(value, abs(value) * naT**5, "low_T_expansion", naT < 0.5)
 
@@ -454,11 +420,10 @@ def free_energy_lowT(cfg: CavityConfig) -> EnergyValue:
     F = -pi^2/(720 n a^3) [1 + 360 (naT/pi)^3 zeta(3) - (2 naT)^4],
     with the same naT < 0.5 validity guard as internal_energy_lowT."""
     naT = cfg.naT
-    z3 = riemann_zeta(3.0)
     value = (
         -(math.pi**2)
         / (720.0 * cfg.n * cfg.a**3)
-        * (1.0 + 360.0 * (naT / math.pi) ** 3 * z3 - (2.0 * naT) ** 4)
+        * (1.0 + 360.0 * (naT / math.pi) ** 3 * _ZETA3 - (2.0 * naT) ** 4)
     )
     return EnergyValue(value, abs(value) * naT**5, "low_T_expansion", naT < 0.5)
 

@@ -1,0 +1,78 @@
+"""Routes that combine several engine results: their convergence flag and
+evaluation count must cover every result they used."""
+
+import dataclasses
+import math
+
+import pytest
+
+from casimir import dispersion, engine, green_em, hyperdim, matsubara
+from casimir.matsubara import CavityConfig
+
+MODULES = (matsubara, green_em, hyperdim, dispersion)
+ENGINE_CALLS = ("adaptive_quad", "sum_series", "finite_diff")
+
+# the routes that fold inner results; each is cheap at these inputs
+ROUTES = {
+    "free_energy_quad": lambda: matsubara.free_energy_quad(CavityConfig(a=1.0, T=1.0)),
+    "internal_energy_from_F": lambda: matsubara.internal_energy_from_F(CavityConfig(a=1.0, T=1.0)),
+    "mode_energy": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=4), 1.0),
+    "pressure_quadrature_cartesian": lambda: hyperdim.pressure_quadrature(
+        hyperdim.HyperConfig(dim=4), route="cartesian"
+    ),
+    "em_energy_T0": lambda: green_em.em_energy_T0(CavityConfig(a=1.0, T=0.0)),
+    "w2_density_cutoff": lambda: dispersion.w2_density_cutoff(
+        dispersion.LorentzModel(2.0, 1.0), CavityConfig(a=1.0, T=0.0), dispersion.CutoffSpec(2.0)
+    ).value,
+}
+
+
+def wrap_engine(monkeypatch, after):
+    """Route every module's engine bindings through after(name, result)."""
+    for mod in MODULES:
+        for name in ENGINE_CALLS:
+            fn = getattr(mod, name, None)
+            if fn is getattr(engine, name):
+
+                def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                    return after(_name, _fn(*args, **kwargs))
+
+                monkeypatch.setattr(mod, name, wrapper)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_one_unconverged_inner_result_is_reported(route, monkeypatch):
+    assert ROUTES[route]().converged
+    calls = []
+
+    def flag_second_quadrature(name, res):
+        if name == "adaptive_quad":
+            calls.append(res)
+            if len(calls) == 2:
+                return dataclasses.replace(res, converged=False)
+        return res
+
+    wrap_engine(monkeypatch, flag_second_quadrature)
+    res = ROUTES[route]()
+    assert len(calls) > 2
+    assert math.isfinite(res.value) and not res.converged
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_evaluations_sum_every_engine_result(route, monkeypatch):
+    seen = []
+
+    def record(name, res):
+        seen.append(res.evaluations)
+        return res
+
+    wrap_engine(monkeypatch, record)
+    res = ROUTES[route]()
+    assert res.evaluations == sum(seen) > 0
+
+
+def test_closed_forms_and_kernel_spend_no_evaluations():
+    cfg = CavityConfig(a=1.0, T=1.0)
+    for ev in (matsubara.free_energy(cfg), matsubara.internal_energy(cfg), matsubara.pressure(cfg),
+               matsubara.free_energy_T0(cfg), hyperdim.pressure_closed(hyperdim.HyperConfig(dim=5))):
+        assert ev.evaluations == 0

@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 
 import casimir
-from casimir.engine import ROUNDING, Tolerance, adaptive_quad, sum_series, finite_diff
+from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
+from casimir.engine import adaptive_quad, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
@@ -121,6 +122,35 @@ class TestAdaptiveQuad:
         )
         assert not res.converged
 
+    @pytest.mark.parametrize(
+        "f, hi, max_panels, converged",
+        [
+            (lambda x: math.exp(-x), math.inf, 2000, True),
+            (lambda x: math.sin(50.0 / (x + 1e-3)), 1.0, 4, False),
+        ],
+    )
+    def test_evaluations_count_integrand_calls(self, f, hi, max_panels, converged):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = adaptive_quad(counted, 0.0, hi, TIGHT, max_panels=max_panels)
+        assert res.converged is converged and res.method == "quadrature"
+        assert res.evaluations == len(calls) > 45
+
+
+class TestAccumulator:
+    def test_take_folds_and_returns_value(self):
+        acc = Accumulator()
+        assert acc.take(EnergyValue(1.5, 0.25, "quadrature", True, 45)) == 1.5
+        assert acc.take(EnergyValue(-0.5, 0.5, "direct_sum", False, 3)) == -0.5
+        assert (acc.value, acc.err_estimate, acc.evaluations, acc.converged) == (1.0, 0.75, 48, False)
+        outer = Accumulator()
+        assert outer.take(acc) == 1.0
+        assert (outer.err_estimate, outer.evaluations, outer.converged) == (0.75, 48, False)
+
 
 class TestSumSeries:
     def test_zeta4(self):
@@ -158,7 +188,7 @@ class TestSumSeries:
         terms = (0.1, 0.2, -0.3)
         res = sum_series(lambda m: terms[m - 1] if m <= 3 else 0.0, 1)
         assert res.value == 0.1 + 0.2 - 0.3  # the value is the plain sum
-        assert res.evaluations == 6 and res.converged
+        assert res.evaluations == 6 and res.converged and res.method == "direct_sum"
         assert res.err_estimate == ROUNDING * (0.1 + 0.2 + 0.3)
         assert abs(res.value) <= res.err_estimate
 
@@ -181,7 +211,7 @@ class TestFiniteDiff:
         h = 0.03
         res = finite_diff(lambda x: x**5, 2.0, h)
         assert res.value - 80.0 == pytest.approx(-(h**4) / 4.0, rel=1e-6)
-        assert res.evaluations == 4 and res.converged
+        assert res.evaluations == 4 and res.converged and res.method == "finite_difference"
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 import casimir
 from casimir.engine import DEFAULT_TOL, Tolerance
+from casimir.green_em import em_energy_finiteT
 from casimir.matsubara import (
     ROUTE_SPLIT_NAT,
     CavityConfig,
@@ -256,6 +257,18 @@ class TestInternalEnergyRoutes:
         T = naT / (n * a)
         u = internal_energy_direct(cavity(T, n=n, a=a))
         assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
+
+    @pytest.mark.parametrize("naT", [56.5, 57.3, 57.5, 58.0, 59.0])
+    @pytest.mark.parametrize("route", [internal_energy, internal_energy_direct, em_energy_finiteT])
+    def test_within_err_estimate_near_underflow(self, route, naT):
+        # the hyperbolic terms are subnormal here, so their rounding is
+        # absolute, while U itself stays representable
+        u = route(cavity(naT))
+        assert u.converged
+        assert abs(u.value - internal_energy_mp(1.0, naT, 1.0)) <= u.err_estimate
+
+    def test_T0_is_the_closed_form(self):
+        assert internal_energy(cavity(0.0)) == free_energy_T0(cavity(0.0))
 
     def test_no_extended_precision_on_production_routes(self):
         code = (

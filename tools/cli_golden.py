@@ -42,6 +42,9 @@ CALLS = [
     ["internal-energy", "--T", "0.29"],
     ["internal-energy", "--T", "0.31"],
     ["pressure", "--T", "0.001", "--format", "json"],
+    # U at T = 0 (the closed form U(0) = F(0)) and where its terms are subnormal
+    ["internal-energy", "--T", "0"],
+    ["internal-energy", "--T", "57.5"],
     ["internal-energy", "--a", "1", "--T", "1", "--n", "1"],
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
     ["em-energy", "--a", "1", "--n", "1"],
