@@ -17,6 +17,7 @@ ROUTES = {
     "free_energy_quad": lambda: matsubara.free_energy_quad(CavityConfig(a=1.0, T=1.0)),
     "internal_energy_from_F": lambda: matsubara.internal_energy_from_F(CavityConfig(a=1.0, T=1.0)),
     "mode_energy": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=4), 1.0),
+    "mode_energy_D5": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=5), 1.0),
     "pressure_quadrature_cartesian": lambda: hyperdim.pressure_quadrature(
         hyperdim.HyperConfig(dim=4), route="cartesian"
     ),

@@ -7,6 +7,7 @@ import pytest
 
 from casimir import hyperdim
 from casimir.cli import main
+from test_hyperdim import odd_mode_reference
 
 
 def run_cli(argv, capsys):
@@ -293,6 +294,15 @@ class TestDispersiveAndCircuitCommands:
         assert code == 0
         assert len(parse_csv(out)) == 2
         assert mode_sum_lams == [0.8, 0.8]
+
+    def test_cutoff_sum_D3(self, capsys):
+        # the odd-D mode sum runs on E = q cosh s; on the E-map D = 3 exited 1
+        code, out = run_cli(["cutoff-sum", "--D", "3"], capsys)
+        assert code == 0
+        (row,) = parse_csv(out)
+        ref = odd_mode_reference(3, 1.0, 1.0, 0.1)
+        assert row["converged"] == "true"
+        assert abs(float(row["value"]) - ref) <= float(row["err_estimate"])
 
     def test_cutoff_sum_vacuum_and_dispersive(self, capsys):
         code, out = run_cli(["cutoff-sum", "--cutoff-lambda", "0.5"], capsys)

@@ -82,6 +82,7 @@ CALLS = [
     # usage errors
     ["profile", "--D", "3"],
     ["free-energy", "--T", "nan"],
+    ["cutoff-sum", "--cutoff-lambda", "inf"],
     ["free-energy", "--tol-rel", "0"],
     ["pressure", "--T", "1", "--D", "5"],
     ["free-energy", "--sweep", "T:1:2:1:lin"],
