@@ -273,13 +273,15 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> EnergyValue:
     """Derivative f'(x) by one Richardson step on central differences.
 
     With D(s) = (f(x+s) - f(x-s)) / (2s), the value is
-    (4 D(h/2) - D(h)) / 3 and the error estimate |D(h/2) - D(h)| / 3.
-    The caller chooses h.  The h^2 term cancels, so cubics come out exact
-    and the truncation error is -h^4 f^(5)(x) / 480 + O(h^6).
+    (4 D(h/2) - D(h)) / 3; the error estimate is |D(h/2) - D(h)| / 3 plus
+    ROUNDING * max|f| * 3/h, the rounding of four values whose weights sum
+    to 3/h.  The caller chooses h.  The h^2 term cancels, so cubics come
+    out exact and the truncation error is -h^4 f^(5)(x) / 480 + O(h^6).
     """
     if not h > 0:
         raise ValueError(f"step h must be > 0, got {h}")
-    d_h = (f(x + h) - f(x - h)) / (2.0 * h)
-    d_h2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    value, err = (4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0
+    fs = (f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h))
+    d_h, d_h2 = (fs[0] - fs[1]) / (2.0 * h), (fs[2] - fs[3]) / h
+    value = (4.0 * d_h2 - d_h) / 3.0
+    err = abs(d_h2 - d_h) / 3.0 + ROUNDING * max(map(abs, fs)) * 3.0 / h
     return EnergyValue(value, err, "finite_difference", True, 4)

@@ -43,15 +43,15 @@ of F in a.  For U there are three:
                                 convergence for naT not too small.
 * ``internal_energy_resummed``  the Poisson-dual series, rapid at low T;
                                 see the note on extended precision below.
-* ``internal_energy_from_F``    numerical d(beta F)/d beta, differencing
-                                each Matsubara term separately.
+* ``internal_energy_from_F``    numerical d(beta F)/d beta, one Richardson
+                                central difference of the kernel in beta.
 
-The m = 0 term of beta*F is exactly independent of beta (beta enters only
-through the lower integration limit, which vanishes at m = 0), so it is
-excluded from the derivative route; differencing it numerically would only
-inject noise.  For m >= 1 only the stretch between the two lower limits
-is integrated: the rest of each term is the same constant at every beta
-and cancels exactly in the central differences.
+The derivative route differences beta F(b) = -S(2 pi n a/b)/(8 pi a^2),
+so it checks the hand-derived S' behind internal_energy against the S of
+free_energy (which free_energy_quad checks), on the sum picked once from
+the centre naT.  The direct side differences only S - zeta(3): zeta(3),
+the beta-independent m = 0 term, would only inject noise.  On the dual
+side pi^4/(45u) is linear in b, so the difference takes it exactly.
 
 Extended precision: the resummed series is an exact rearrangement in which
 a closed polynomial part (the low-temperature expansion) cancels against an
@@ -352,36 +352,33 @@ def internal_energy_resummed(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Internal energy as d(beta F)/d beta by finite differences.
-
-    beta enters each Matsubara term only through the lower limit of its
-    integral, so the derivative is taken term by term (the m = 0 term of
-    beta F is a beta-independent constant and drops out exactly).  Each
-    term is one engine.finite_diff step over beta F_m(b) - beta F_m(beta),
-    a quadrature between the two lower limits only; the error estimates
-    of the steps are summed.
-    """
+    """Internal energy as d(beta F)/d beta by one engine.finite_diff of
+    the kernel (see the module docstring).  Each value of beta F carries
+    the kernel's error and the rounding of b and of u(b), each worth about
+    ROUNDING beta |U|; their weights sum to 3/h in the difference."""
     if not cfg.T > 0:
         raise ValueError("internal_energy_from_F requires T > 0")
-    beta = 1.0 / cfg.T
-    h = 1e-4 * beta
-    quad_tol = Tolerance(rel=1e-12, abs=0.0, max_iter=tol.max_iter)
-    quads, steps = Accumulator(), Accumulator()
+    beta, u = 1.0 / cfg.T, 2.0 * math.pi * cfg.naT
+    c = 2.0 * math.pi * cfg.n * cfg.a  # u(b) = c/b
+    pref = 1.0 / (8.0 * math.pi * cfg.a**2)
+    # S - zeta(3) on the direct side, S on the dual side
+    kernel = _hyperbolic_tails if cfg.naT >= ROUTE_SPLIT_NAT else _kernel_dual
+    kernel_err, converged = 0.0, True
 
-    def beta_f_step(m: int, b: float) -> float:
-        # beta F_m(b) - beta F_m(beta) = (1/pi) int_{x_m(b)}^{x_m(beta)}
-        lo, hi = 2.0 * math.pi * m * cfg.n / b, 2.0 * math.pi * m * cfg.n / beta
-        res = adaptive_quad(lambda k: _log_kernel(k, cfg.a), min(lo, hi), max(lo, hi), quad_tol)
-        quads.take(res)
-        return (res.value if lo < hi else -res.value) / math.pi
+    def beta_f(b: float) -> float:
+        nonlocal kernel_err, converged
+        s, _, err, _, ok = kernel(c / b, tol.max_iter)[:5]
+        kernel_err, converged = max(kernel_err, err), converged and ok
+        return -pref * s
 
-    def term(m: int) -> float:
-        return steps.take(finite_diff(lambda b: beta_f_step(m, b), beta, h))
-
-    value = steps.take(sum_series(term, start=1, tol=tol))
-    err = steps.err_estimate  # the quadratures count only in converged and evaluations
-    steps.take(quads)
-    return EnergyValue(value, err, "finite_difference", steps.converged, steps.evaluations)
+    # beta F varies on the scale beta/(1 + 2u) in b (like e^(-2u) on the
+    # direct side); at this h its h^4 truncation, ~(2u h/beta)^4/480, is
+    # below 5e-13 relative, near the rounding term 3 ROUNDING beta/h
+    h = 4e-3 * beta / (1.0 + 2.0 * u)
+    res = finite_diff(beta_f, beta, h)
+    size = abs(res.value)
+    err = res.err_estimate + 3.0 / h * (pref * kernel_err + ROUNDING * beta * size)
+    return EnergyValue(res.value, err + ROUNDING * size, res.method, converged, res.evaluations)
 
 
 def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:

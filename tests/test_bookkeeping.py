@@ -41,7 +41,12 @@ def wrap_engine(monkeypatch, after):
                 monkeypatch.setattr(mod, name, wrapper)
 
 
-@pytest.mark.parametrize("route", ROUTES)
+# the routes whose inner results include quadratures; internal_energy_from_F
+# differences the S kernel, which sums without the engine
+QUADRATURE_ROUTES = [name for name in ROUTES if name != "internal_energy_from_F"]
+
+
+@pytest.mark.parametrize("route", QUADRATURE_ROUTES)
 def test_one_unconverged_inner_result_is_reported(route, monkeypatch):
     assert ROUTES[route]().converged
     calls = []
@@ -56,6 +61,12 @@ def test_one_unconverged_inner_result_is_reported(route, monkeypatch):
     wrap_engine(monkeypatch, flag_second_quadrature)
     res = ROUTES[route]()
     assert len(calls) > 2
+    assert math.isfinite(res.value) and not res.converged
+
+
+def test_one_unconverged_kernel_sum_is_reported():
+    assert ROUTES["internal_energy_from_F"]().converged
+    res = matsubara.internal_energy_from_F(CavityConfig(a=1.0, T=1.0), engine.Tolerance(max_iter=1))
     assert math.isfinite(res.value) and not res.converged
 
 

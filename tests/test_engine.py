@@ -213,6 +213,15 @@ class TestFiniteDiff:
         assert res.value - 80.0 == pytest.approx(-(h**4) / 4.0, rel=1e-6)
         assert res.evaluations == 4 and res.converged and res.method == "finite_difference"
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, -3.0])
+    def test_rounding_dominated_step_is_within_estimate(self, x):
+        # at h = 1e-7 the h^4 truncation (~1e-30) is nothing: the rounding
+        # of the four values of exp, weighted 3/h in all, is the whole error
+        res = finite_diff(math.exp, x, 1e-7)
+        assert res.converged
+        assert abs(res.value - math.exp(x)) <= res.err_estimate
+        assert res.err_estimate <= 1e-7 * math.exp(x)
+
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_diff(math.exp, 0.0, 0.0)

@@ -140,6 +140,7 @@ class TestPressureFromDensity:
         closed = pressure_closed(cfg).value
         assert abs(ident.value - closed) <= 1e-12 * abs(closed)
         assert abs(fd.value - closed) <= 1e-8 * abs(closed)
+        assert abs(fd.value - closed) <= fd.err_estimate
         assert fd.method == "finite_difference"
 
     def test_D4_identity_is_classic(self):

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 import casimir
+from casimir import matsubara
 from casimir.engine import DEFAULT_TOL, Tolerance
 from casimir.green_em import em_energy_finiteT
 from casimir.matsubara import (
@@ -225,7 +226,7 @@ class TestInternalEnergyRoutes:
         assert u_fd.value == pytest.approx(u_rs.value, rel=1e-6)
 
     def test_from_F_within_err_estimate_at_low_temperature(self):
-        # about 260 Matsubara terms; the resummed route is exact to rounding here
+        # the resummed route is exact to rounding here
         cfg = cavity(0.01)
         u_fd = internal_energy_from_F(cfg)
         assert u_fd.converged
@@ -237,6 +238,28 @@ class TestInternalEnergyRoutes:
         u_d = internal_energy_direct(cavity(5.0))
         assert abs(u_fd.value) < 1e-20 and abs(u_d.value) < 1e-20
         assert u_d.value == pytest.approx(U_1_5, rel=1e-12)
+
+    @pytest.mark.parametrize("a, n", [(1.0, 1.0), (1.3, 1.4)])
+    @pytest.mark.parametrize("naT", [1e-3, 0.01, 0.1, 0.29999, 0.3, 0.30001, 1.0, 5.0, 20.0])
+    def test_from_F_within_err_estimate_of_mpmath(self, naT, a, n):
+        T = naT / (n * a)
+        u = internal_energy_from_F(cavity(T, n=n, a=a))
+        assert u.converged and u.evaluations == 4
+        assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
+
+    @pytest.mark.parametrize("naT, dual_calls", [(0.29999, 4), (0.30001, 0)])
+    def test_from_F_differences_one_route(self, naT, dual_calls, monkeypatch):
+        # the four points straddle the split, but the centre picks the sum
+        calls = {"dual": 0, "tails": 0}
+        for name, key in (("_kernel_dual", "dual"), ("_hyperbolic_tails", "tails")):
+
+            def counted(*args, _fn=getattr(matsubara, name), _key=key):
+                calls[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(matsubara, name, counted)
+        internal_energy_from_F(cavity(naT))
+        assert calls == {"dual": dual_calls, "tails": 4}
 
     def test_dispatch(self):
         assert internal_energy(cavity(0.29)).method == "poisson_resummed"

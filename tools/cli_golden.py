@@ -2,6 +2,7 @@
 invocations, so two source trees can be compared byte for byte.
 
     python tools/cli_golden.py SRC OUT.json
+    python tools/cli_golden.py --compare OLD.json NEW.json
 
 SRC is the ``src/`` directory of the tree to run; OUT.json receives one
 record per invocation: argv, exit code (or the uncaught exception), stdout,
@@ -11,12 +12,19 @@ fresh temporary directory holding the config files below, with
 ``CASIMIR_CONFIG`` unset and ``COLUMNS=80`` so argparse's help text wraps
 the same everywhere.  Two trees agree when ``diff`` finds their OUT.json
 files equal.
+
+``--compare`` prints each invocation whose record differs between two
+OUT.json files, with the changed lines of stdout (and of a written file)
+side by side, old then new.  It exits 1 if any exit code or stderr
+differs, or if the files do not record the same invocations, and 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -151,10 +159,47 @@ def record(src: str) -> list[dict]:
     return records
 
 
+def _changed_lines(label: str, old: str | None, new: str | None) -> None:
+    old_lines = (old or "").splitlines()
+    new_lines = (new or "").splitlines()
+    for i, (a, b) in enumerate(itertools.zip_longest(old_lines, new_lines, fillvalue=""), 1):
+        if a != b:
+            print(f"  {label} line {i}: {a}  ->  {b}")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the invocations whose records differ; 1 if any exit code or
+    stderr differs, else 0."""
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        print(f"{old_path} and {new_path} record different invocations")
+        return 1
+    hard, moved = False, 0
+    for o, n in zip(old, new):
+        if o == n:
+            continue
+        moved += 1
+        print(" ".join(o["argv"]) or "(no arguments)")
+        for key in ("code", "stderr"):
+            if o[key] != n[key]:
+                hard = True
+                print(f"  {key}: {o[key]!r}  ->  {n[key]!r}")
+        _changed_lines("stdout", o["stdout"], n["stdout"])
+        _changed_lines("file", o.get("file"), n.get("file"))
+    print(f"{moved} of {len(old)} invocations differ")
+    return 1 if hard else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: python tools/cli_golden.py SRC OUT.json", file=sys.stderr)
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(args[1], args[2])
+    if len(args) != 2 or args[0].startswith("--"):
+        print("usage: python tools/cli_golden.py SRC OUT.json\n"
+              "       python tools/cli_golden.py --compare OLD.json NEW.json", file=sys.stderr)
         return 2
     records = record(args[0])
     with open(args[1], "w", encoding="utf-8", newline="\n") as fh:
