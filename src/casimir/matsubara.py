@@ -28,9 +28,12 @@ whose closed part is the low-temperature expansion and whose S(v) falls
 like e^(-2 pi^2/u).  Either way a handful of terms reach rounding; the
 error estimate is the geometric tail bound plus a rounding term and an
 underflow floor.  F, P and U all read this kernel, so no production
-route needs quadrature or mpmath.  Every route returns the engine's
-EnergyValue (re-exported here with METHOD_TAGS), whose evaluations count
-the engine work behind it: 0 for the kernel and the closed forms.
+route needs quadrature or extended precision.  Below T0_LIMIT_NAT, where
+S'(u) ~ u^-2 would leave the double range, U and P are their T = 0
+closed forms, which they equal there to rounding.  Every route returns
+the engine's EnergyValue (re-exported here with METHOD_TAGS), whose
+evaluations count the engine work behind it: 0 for the kernel and the
+closed forms.
 
 Each production quantity keeps independent check routes (casimir
 crosscheck).  For F and P they are the per-term quadrature of I (and,
@@ -58,13 +61,19 @@ a closed polynomial part (the low-temperature expansion) cancels against an
 exponentially convergent remainder sum.  At naT of a few, the result is
 smaller than the individual pieces by a factor e^(-4 pi naT), far below
 double-precision resolution of the pieces, so this check route evaluates
-in mpmath with a working precision scaled to the cancellation and rounds
-the final value to float.
+in the standard library's decimal module, with a working precision scaled
+to the cancellation plus 10 guard digits, and rounds the final value to
+float.  pi (Machin's formula) and zeta(3) (its central binomial series)
+are computed at that precision and cached per precision; the terms need
+one exp per call.  Its error estimate is the working precision left after
+the cancellation, plus the series tail and the rounding to float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,6 +102,12 @@ __all__ = [
 # naT threshold separating the geometric regimes of the direct and dual
 # sums of the S kernel behind F, U and P.
 ROUTE_SPLIT_NAT = 0.3
+
+# Below this naT the thermal parts of U and P, at most 28 (naT)^3 of
+# their T = 0 values, are below rounding, so both return the T = 0
+# closed forms.  The kernel's S'(u) ~ -pi^4/(45 u^2) and U's prefactor
+# T^2 leave the double range near naT = 1e-154 (a = n = 1).
+T0_LIMIT_NAT = 1e-6
 
 _ZETA3 = riemann_zeta(3.0)
 
@@ -225,8 +240,11 @@ def _kernel_dual(u: float, max_iter: int) -> _Kernel:
     big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(v, max_iter)
     s_v = _ZETA3 + big_r
     pieces = (math.pi**4 / (45.0 * u), -(u**3) / 45.0, (u / math.pi) ** 2 * s_v)
+    # 0 once u*u underflows (u <~ 1e-162): S' is out of range there, and
+    # only S is read below T0_LIMIT_NAT
+    den = 45.0 * u * u
     d_pieces = (
-        -(math.pi**4) / (45.0 * u * u),
+        -(math.pi**4) / den if den else -math.inf,
         -u * u / 15.0,
         2.0 * u / math.pi**2 * s_v,
         2.0 * v * d,  # -S'(v)
@@ -293,13 +311,45 @@ def internal_energy_direct(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     return EnergyValue(value, err, "direct_sum", series.converged, series.evaluations)
 
 
-def _mp_bracket_remainder(ctx, x):
-    # bracket(x) - (x - 3) = x(coth x - 1) + (x^2/sinh^2 x)(1 + x coth x),
-    # exponentially small for large x; evaluated in mpmath.
-    e2 = ctx.expm1(2 * x)          # e^(2x) - 1
-    coth = (e2 + 2) / e2           # coth x
-    inv_sinh2 = 4 * (e2 + 1) / (e2 * e2)   # 1/sinh^2 x
-    return x * 2 / e2 + (x * x * inv_sinh2) * (1 + x * coth)
+@functools.lru_cache(maxsize=64)
+def _decimal_pi(prec: int):
+    """pi as a Decimal rounded to prec digits, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers scaled by 10^(prec + 10);
+    the truncation of each term costs one unit, far inside the 10 guard
+    digits."""
+    import decimal
+
+    scale = 10 ** (prec + 10)
+
+    def atan_inv(k: int) -> int:  # atan(1/k) = sum_j (-1)^j / ((2j + 1) k^(2j + 1))
+        total, power, j = 0, scale // k, 0
+        while power:
+            total += (-1) ** j * (power // (2 * j + 1))
+            power //= k * k
+            j += 1
+        return total
+
+    digits = 16 * atan_inv(5) - 4 * atan_inv(239)
+    return decimal.Context(prec=prec).create_decimal(digits).scaleb(-(prec + 10))
+
+
+@functools.lru_cache(maxsize=64)
+def _decimal_zeta3(prec: int):
+    """zeta(3) as a Decimal rounded to prec digits, from the central
+    binomial series zeta(3) = (5/2) sum_k (-1)^(k+1) / (k^3 C(2k, k)),
+    whose terms fall like 4^-k; integers scaled as in _decimal_pi."""
+    import decimal
+
+    scale = 10 ** (prec + 10)
+    total, k, binom = 0, 1, 2  # binom = C(2k, k)
+    while True:
+        term = scale // (k**3 * binom)
+        if not term:
+            break
+        total += term if k % 2 else -term
+        binom = binom * (2 * k + 2) * (2 * k + 1) // ((k + 1) * (k + 1))
+        k += 1
+    return decimal.Context(prec=prec).create_decimal(5 * total // 2).scaleb(-(prec + 10))
 
 
 def internal_energy_resummed(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
@@ -325,29 +375,44 @@ def internal_energy_resummed(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) ->
     m_needed = int(dps * math.log(10.0) / (2.0 * c)) + 25
     converged = m_needed <= tol.max_iter
 
-    import mpmath  # only this route needs it; keeps `import casimir` light
+    import decimal  # only this route needs it; keeps `import casimir` light
 
-    ctx = mpmath.mp.clone()  # private context: reentrant, global precision untouched
-    ctx.dps = dps
-    pi = ctx.pi
-    a = ctx.mpf(cfg.a)
-    T = ctx.mpf(cfg.T)
-    n = ctx.mpf(cfg.n)
-    nat = n * a * T
-    poly = -(pi**2 / (720 * n * a**3)) * (
-        1 - 720 * (nat / pi) ** 3 * ctx.zeta(3) + 48 * nat**4
-    )
-    cc = pi / (2 * nat)
-    remainder = ctx.mpf(0)
-    floor = ctx.mpf(10) ** (-(dps - 3))
-    for m in range(1, min(m_needed, tol.max_iter) + 1):
-        r = _mp_bracket_remainder(ctx, cc * m) / ctx.mpf(m) ** 4
-        remainder += r
-        if r < floor * (1 + abs(remainder)):
-            break
-    value = float(poly + 2 * pi * n**2 * T**3 * (nat / pi**3) * remainder)
-
-    err = abs(value) * 1e-12 + 5e-300
+    # A private context, entered for the whole sum: every operator,
+    # unary minus and abs() included, rounds to dps digits, never to the
+    # thread's 28-digit default.  The exponent range is the widest, so
+    # e^(-2cm) underflows to an exact 0 only where it is negligible.
+    ctx = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(ctx):
+        pi, zeta3 = _decimal_pi(dps), _decimal_zeta3(dps)
+        a, T, n = decimal.Decimal(cfg.a), decimal.Decimal(cfg.T), decimal.Decimal(cfg.n)
+        nat = n * a * T
+        poly = -(pi**2 / (720 * n * a**3)) * (1 - 720 * (nat / pi) ** 3 * zeta3 + 48 * nat**4)
+        cc = pi / (2 * nat)
+        # p = e^(-2x) at x = cc m by a running product with q = e^(-2 cc):
+        # one exp per call, and after m factors p carries about 2m
+        # roundings, log10(2 m_needed) <= 4 of the 10 guard digits at naT <= 30
+        q = (-2 * cc).exp()
+        p = decimal.Decimal(1)
+        remainder = decimal.Decimal(0)
+        floor = decimal.Decimal(1).scaleb(3 - dps)
+        for m in range(1, min(m_needed, tol.max_iter) + 1):
+            x = cc * m
+            p *= q
+            w = 1 / (1 - p)  # coth x = (1 + p) w, 1/sinh^2 x = 4 p w^2
+            xw = x * w
+            # R(x) = x (coth x - 1) + (x^2/sinh^2 x)(1 + x coth x)
+            r = 2 * x * p * w * (1 + 2 * xw * (1 + xw * (1 + p))) / m**4
+            remainder += r
+            if r < floor * (1 + abs(remainder)):
+                break
+        pref = 2 * pi * n**2 * T**3 * (nat / pi**3)
+        value = float(poly + pref * remainder)
+        # Each piece carries a few dozen roundings of 10^(1 - dps) per term,
+        # bounded by m 10^(4 - dps) of the pieces before they cancel; R
+        # decreases, so the terms after m sum to less than m r_m / 3.
+        scale = abs(poly) + abs(pref) * (1 + remainder)
+        work = scale * m * decimal.Decimal(1).scaleb(4 - dps) + abs(pref) * r * m / 3
+    err = float(work) + ROUNDING * abs(value) + UNDERFLOW
     return EnergyValue(value, err, "poisson_resummed", converged)
 
 
@@ -375,6 +440,10 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     # direct side); at this h its h^4 truncation, ~(2u h/beta)^4/480, is
     # below 5e-13 relative, near the rounding term 3 ROUNDING beta/h
     h = 4e-3 * beta / (1.0 + 2.0 * u)
+    # h is subnormal from T ~ 1e152 on: fail with the OverflowError that
+    # internal_energy raises from T = 1.3e154 on (T**2)
+    if h < sys.float_info.min:
+        raise OverflowError(f"the step in beta underflows at T = {cfg.T}")
     res = finite_diff(beta_f, beta, h)
     size = abs(res.value)
     err = res.err_estimate + 3.0 / h * (pref * kernel_err + ROUNDING * beta * size)
@@ -383,9 +452,10 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
 
 def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Internal energy U = u T S'(u)/(8 pi a^2) = n T^2 S'(u)/(4a) at
-    T > 0, from the kernel of free_energy and pressure; at T = 0 the
-    closed form U(0) = F(0) of free_energy_T0."""
-    if cfg.T == 0:
+    T > 0, from the kernel of free_energy and pressure; below
+    T0_LIMIT_NAT, T = 0 included, the closed form U(0) = F(0) of
+    free_energy_T0."""
+    if cfg.naT < T0_LIMIT_NAT:
         return free_energy_T0(cfg)
     pref = cfg.n * cfg.T**2 / (4.0 * cfg.a)  # T**2 raises OverflowError, not inf * 0
     k = _thermal_kernel(cfg, tol)
@@ -443,9 +513,9 @@ def internal_energy_highT_asymptote(cfg: CavityConfig) -> EnergyValue:
 
 def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Pressure P = -dF/da = -T/(8 pi a^3) (2S - u S') at T > 0 (both
-    parts have the sign of P, so nothing cancels); at T = 0 the closed
-    form -pi^2/(240 n a^4)."""
-    if cfg.T == 0:
+    parts have the sign of P, so nothing cancels); below T0_LIMIT_NAT,
+    T = 0 included, the closed form -pi^2/(240 n a^4)."""
+    if cfg.naT < T0_LIMIT_NAT:
         value = -math.pi**2 / (240.0 * cfg.n * cfg.a**4)
         return EnergyValue(value, abs(value) * 1e-15, "closed_form")
     k = _thermal_kernel(cfg, tol)

@@ -69,12 +69,12 @@ def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, casimir, casimir.cli; "
-        "print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+        "print('numpy' in sys.modules, 'mpmath' in sys.modules, 'decimal' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 class TestAdaptiveQuad:

@@ -215,6 +215,50 @@ class TestInternalEnergyRoutes:
         assert ud.converged and ur.converged
         assert abs(ud.value - ur.value) / abs(ud.value) <= 1e-9
 
+    @pytest.mark.parametrize("a, n", [(1.0, 1.0), (1.3, 1.4)])
+    @pytest.mark.parametrize("naT", [0.05, 1.0, 5.0, 10.0, 20.0, 30.0])
+    def test_resummed_within_err_estimate_of_mpmath(self, naT, a, n):
+        # from naT ~ 18 on the working precision exceeds 110 digits, where
+        # constants of a fixed length would fail
+        T = naT / (n * a)
+        u = internal_energy_resummed(cavity(T, n=n, a=a))
+        assert u.converged
+        assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 10])
+    def test_resummed_truncated_within_err_estimate(self, max_iter):
+        # R decreases, so the terms past the last one summed stay bounded
+        u = internal_energy_resummed(cavity(5.0), Tolerance(max_iter=max_iter))
+        assert not u.converged
+        assert abs(u.value - internal_energy_mp(1.0, 5.0, 1.0)) <= u.err_estimate
+
+    @pytest.mark.parametrize("prec", [40, 200])
+    def test_resummed_constants_match_mpmath(self, prec):
+        with mpmath.workdps(prec + 20):
+            for helper, ref in (
+                (matsubara._decimal_pi, mpmath.pi),
+                (matsubara._decimal_zeta3, mpmath.zeta(3)),
+            ):
+                got = helper(prec)
+                assert len(got.as_tuple().digits) == prec
+                # rounded to nearest, up to the guard digits' last unit
+                assert abs(mpmath.mpf(str(got)) - ref) <= 0.5000001 * mpmath.mpf(10) ** (1 - prec)
+
+    def test_resummed_and_crosscheck_run_without_mpmath(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from casimir import cli, matsubara\n"
+            "matsubara.internal_energy_resummed(matsubara.CavityConfig(a=1.0, T=5.0))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['crosscheck'])\n"
+            "print(code, 'mpmath' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(casimir.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0 False"
+
     def test_from_F_matches_direct_absolute(self):
         u_fd = internal_energy_from_F(cavity(1.0))
         assert abs(u_fd.value - U_111) < 1e-7
@@ -306,6 +350,32 @@ class TestInternalEnergyRoutes:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+class TestTemperatureRange:
+    """F, U and P at the ends of the double range of T."""
+
+    @pytest.mark.parametrize("T", [1e-200, 1e-160, 1e-7])
+    @pytest.mark.parametrize(
+        "route, limit",
+        [
+            (free_energy, -PI2_720),
+            (internal_energy, -PI2_720),
+            (internal_energy_from_F, -PI2_720),
+            (pressure, -math.pi**2 / 240.0),
+        ],
+    )
+    def test_tiny_temperature_is_the_T0_limit(self, route, limit, T):
+        # the thermal parts are below 28 T^3 of the limit
+        r = route(cavity(T))
+        assert r.converged and math.isfinite(r.err_estimate)
+        assert abs(r.value - limit) <= r.err_estimate
+
+    @pytest.mark.parametrize("T", [1e200, 1e300])
+    @pytest.mark.parametrize("route", [internal_energy, internal_energy_from_F])
+    def test_huge_temperature_overflows(self, route, T):
+        with pytest.raises(OverflowError):
+            route(cavity(T))
 
 
 class TestThermalKernel:

@@ -53,6 +53,10 @@ CALLS = [
     # U at T = 0 (the closed form U(0) = F(0)) and where its terms are subnormal
     ["internal-energy", "--T", "0"],
     ["internal-energy", "--T", "57.5"],
+    # F, U and P where u = 2 pi naT squared underflows: their T -> 0 limits
+    ["free-energy", "--T", "1e-200"],
+    ["internal-energy", "--T", "1e-200"],
+    ["pressure", "--T", "1e-200"],
     ["internal-energy", "--a", "1", "--T", "1", "--n", "1"],
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
     ["em-energy", "--a", "1", "--n", "1"],
