@@ -127,13 +127,14 @@ class EnergyValue:
 @dataclass(slots=True)
 class Accumulator:
     """Sums of the values, error estimates and evaluations of the results
-    taken, and the AND of their convergence flags.  An Accumulator can be
-    taken into another."""
+    taken, the AND of their convergence flags and the largest relative
+    error among them (rel_max).  One Accumulator can take another."""
 
     value: float = 0.0
     err_estimate: float = 0.0
     evaluations: int = 0
     converged: bool = True
+    rel_max: float = 0.0
 
     def take(self, result) -> float:
         """Fold result in and return its value."""
@@ -141,6 +142,7 @@ class Accumulator:
         self.err_estimate += result.err_estimate
         self.evaluations += result.evaluations
         self.converged = self.converged and result.converged
+        self.rel_max = max(self.rel_max, result.err_estimate / (abs(result.value) or math.inf))
         return result.value
 
 

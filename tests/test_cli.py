@@ -7,7 +7,7 @@ import pytest
 
 from casimir import hyperdim
 from casimir.cli import main
-from test_hyperdim import odd_mode_reference
+from test_hyperdim import mode_reference
 
 
 def run_cli(argv, capsys):
@@ -300,7 +300,7 @@ class TestDispersiveAndCircuitCommands:
         code, out = run_cli(["cutoff-sum", "--D", "3"], capsys)
         assert code == 0
         (row,) = parse_csv(out)
-        ref = odd_mode_reference(3, 1.0, 1.0, 0.1)
+        ref = mode_reference(3, 1.0, 1.0, 0.1)
         assert row["converged"] == "true"
         assert abs(float(row["value"]) - ref) <= float(row["err_estimate"])
 

@@ -147,9 +147,14 @@ class TestAccumulator:
         assert acc.take(EnergyValue(1.5, 0.25, "quadrature", True, 45)) == 1.5
         assert acc.take(EnergyValue(-0.5, 0.5, "direct_sum", False, 3)) == -0.5
         assert (acc.value, acc.err_estimate, acc.evaluations, acc.converged) == (1.0, 0.75, 48, False)
+        assert acc.rel_max == 1.0
         outer = Accumulator()
         assert outer.take(acc) == 1.0
         assert (outer.err_estimate, outer.evaluations, outer.converged) == (0.75, 48, False)
+        assert outer.rel_max == 0.75
+        # a zero value leaves rel_max as it was
+        outer.take(EnergyValue(0.0, 1.0, "quadrature"))
+        assert outer.rel_max == 0.75
 
 
 class TestSumSeries:

@@ -103,6 +103,7 @@ class TestEnergyT0:
             for n in (1.0, 2.0, 3.0):
                 w = em_energy_T0(CavityConfig(a=a, T=0.0, n=n), tol)
                 assert w.value == pytest.approx(-PI2_720 / (n * a**3), rel=1e-8)
+                assert abs(w.value + PI2_720 / (n * a**3)) <= w.err_estimate
 
     def test_polar_route_agrees(self):
         w = em_energy_T0(CFG0, Tolerance(rel=1e-11, abs=0.0))

@@ -63,11 +63,35 @@ class TestPressure:
         assert pq.converged
         assert abs(pq.value - pressure_closed(cfg).value) / abs(pq.value) <= 1e-8
 
-    @pytest.mark.parametrize("D", [4, 5])
-    def test_cartesian_route(self, D):
-        cfg = HyperConfig(dim=D, n=2.0)
+    @pytest.mark.parametrize("D", range(3, 13))
+    @pytest.mark.parametrize("n", [1.0, 2.0])
+    def test_cartesian_route(self, D, n):
+        # the inner k integral runs on k = n zeta sinh s: 30-49 k evaluations
+        # at D >= 4, 55-65 k at D = 3, which holds only 3e-12 relative
+        cfg = HyperConfig(dim=D, n=n)
         pq = pressure_quadrature(cfg, Tolerance(rel=1e-10, abs=0.0), route="cartesian")
-        assert abs(pq.value - pressure_closed(cfg).value) / abs(pq.value) <= 1e-8
+        closed = pressure_closed(cfg).value
+        assert pq.converged
+        assert abs(pq.value - closed) <= pq.err_estimate, (pq, closed)
+        assert abs(pq.value - closed) / abs(pq.value) <= 1e-8
+        assert pq.evaluations <= (70_000 if D == 3 else 50_000)
+
+    @pytest.mark.parametrize(
+        "D, a, n",
+        [(3, 1.15700, 1.24252), (4, 0.962619, 1.15216), (5, 0.978994, 1.12266),
+         (6, 1.13593, 1.24383)],
+    )
+    def test_cartesian_route_inner_values_near_underflow(self, D, a, n):
+        # outer nodes where 2 a n zeta lies in (708.4, 745.1) give inner values
+        # that are subnormal throughout: no relative tolerance can be met on
+        # them, and each would run to max_panels unconverged
+        cfg = HyperConfig(dim=D, a=a, n=n)
+        pq = pressure_quadrature(cfg, route="cartesian")
+        closed = pressure_closed(cfg).value
+        assert pq.converged
+        assert abs(pq.value - closed) <= pq.err_estimate
+        assert pq.err_estimate <= 1e-9 * abs(closed)
+        assert pq.evaluations <= 70_000
 
     def test_separation_scaling(self):
         # P ~ a^-D
@@ -213,55 +237,85 @@ def _eulerian(k):
     return row[::-1]
 
 
-def odd_mode_reference(D, a, n, lam):
-    """30-digit regulated mode sum at odd D, by a route that shares nothing
-    with the quadrature: with E = q cosh s the sum over m comes first and
-    is closed, sum_m q^(D-1) e^(-lam q cosh s) = (pi/a)^(D-1) Li_(1-D)(y),
-    y = e^(-lam pi cosh(s)/a).  The s integrand is even and analytic for
+def mode_reference(D, a, n, lam):
+    """30-digit regulated mode sum by a route that shares nothing with the
+    quadrature: the sum over m comes first and is closed by
+    Li_(-k)(y) = sum_m m^k y^m, y = e^(-t c), t = lam pi/a.
+
+    With E = q cosh s, sum_m q^(D-1) e^(-lam q cosh s) = (pi/a)^(D-1)
+    Li_(1-D)(y), c = cosh s.  At odd D the s integrand
+    sinh^(D-3)s cosh^2 s Li_(1-D)(y) is even and analytic for
     |Im s| < pi/2 (Li_(1-D) has its poles at y = 1), so the trapezoid rule
-    with step h converges like e^(-pi^2/h): h = 1/16 is far past 30 digits."""
+    with step h converges like e^(-pi^2/h): h = 1/16 is far past 30 digits.
+    At even D it is odd in s and the trapezoid gains only h^2; there the
+    E integral is elementary instead: int_1^inf (c^2-1)^p c^2 e^(-z c) dc,
+    p = (D-4)/2, is a polynomial in 1/z times e^(-z), and each power of m
+    sums to some Li_(-k)(y) with k >= 0."""
     with mpmath.workdps(30):
         a, n, lam = (mpmath.mpf(x) for x in (a, n, lam))
         d = D - 1
         a_d = 2 * mpmath.pi ** ((d - 1) / mpmath.mpf(2)) / mpmath.gamma((d - 1) / mpmath.mpf(2))
-        a_d /= (2 * mpmath.pi) ** (d - 1)
-        t, h, eulerian = lam * mpmath.pi / a, mpmath.mpf(1) / 16, _eulerian(d)
+        a_d *= (mpmath.pi / a) ** d / ((2 * mpmath.pi) ** (d - 1) * n)
+        t = lam * mpmath.pi / a
+
+        def li(k, y):  # Li_(-k)(y), k >= 0
+            return y * mpmath.polyval(_eulerian(k), y) / (1 - y) ** (k + 1)
+
+        if D % 2 == 0:
+            # (c^2-1)^p c^2 = sum_i C(p,i) (-1)^(p-i) c^j with j = 2i + 2, and
+            # int_1^inf c^j e^(-mtc) dc = e^(-mt) sum_r j!/r! (mt)^(r-j-1)
+            p, y = (D - 4) // 2, mpmath.exp(-t)
+            total = mpmath.mpf(0)
+            for i in range(p + 1):
+                j = 2 * i + 2
+                for r in range(j + 1):
+                    coef = mpmath.binomial(p, i) * (-1) ** (p - i) * mpmath.factorial(j)
+                    total += coef / mpmath.factorial(r) * t ** (r - j - 1) * li(d + r - j - 1, y)
+            return float(a_d * total)
+
+        h = mpmath.mpf(1) / 16
 
         def f(s):
             c = mpmath.cosh(s)
-            y = mpmath.exp(-t * c)
-            li = y * mpmath.polyval(eulerian, y) / (1 - y) ** D
-            return mpmath.sinh(s) ** (D - 3) * c * c * li
+            return mpmath.sinh(s) ** (D - 3) * c * c * li(d, mpmath.exp(-t * c))
 
         total, j = f(mpmath.mpf(0)) / 2, 1
         while True:
             fj = f(j * h)
             total += fj
             if t * mpmath.cosh(j * h) > 1 and fj < mpmath.mpf(10) ** -35 * total:
-                return float(a_d * (mpmath.pi / a) ** d * h * total / n)
+                return float(a_d * h * total)
             j += 1
 
 
-class TestOddDimensionModeSum:
-    # on E = q cosh s the integrand is analytic and every value holds 1e-14;
-    # the E-map's half-integer power at E = q raised at D = 3 and held only
-    # 4.6e-12, 1.1e-12 and 2.1e-13 relative at D = 5, 7 and 9
+class TestModeSumOnCoshMap:
+    # every vacuum mode integral runs on E = q cosh s, where the integrand is
+    # analytic at any D and every value holds 1e-14; on the E-map the
+    # half-integer power at E = q raised at D = 3 and held only 4.6e-12,
+    # 1.1e-12 and 2.1e-13 relative at D = 5, 7 and 9
     @pytest.mark.parametrize("a, n", [(1.1, 1.2), (0.8, 1.0)])
     @pytest.mark.parametrize("lam_over_a", [0.05, 0.1, 0.5, 1.0])
-    @pytest.mark.parametrize("D", [3, 5, 7, 9])
+    @pytest.mark.parametrize("D", range(3, 13))
     def test_matches_mpmath_reference(self, D, lam_over_a, a, n):
         ev = mode_energy(HyperConfig(dim=D, a=a, n=n), lam_over_a * a)
-        ref = odd_mode_reference(D, a, n, lam_over_a * a)
+        ref = mode_reference(D, a, n, lam_over_a * a)
         assert ev.converged
         assert abs(ev.value - ref) <= ev.err_estimate, (ev, ref)
         assert abs(ev.value - ref) <= 1e-14 * abs(ref), (ev, ref)
 
-    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("D", [3, 4, 5, 6])
     def test_vacuum_dispersive_model_is_the_vacuum_sum(self, D):
         # eps_bar = 1 leaves n(k) = 1 and no jump, so the dispersive sum runs
         # the same map and the same arithmetic as the vacuum one
         cfg = HyperConfig(dim=D)
         assert dispersive_hyper_energy(cfg, LorentzModel(1.0, 1.0), 0.5) == mode_energy(cfg, 0.5)
+
+    @pytest.mark.parametrize("D, ceiling", [(4, 35_000), (8, 60_000)])
+    def test_evaluation_ceiling(self, D, ceiling):
+        # 25 292 and 42 442 evaluations
+        ev = mode_energy(HyperConfig(dim=D), 0.1)
+        assert ev.converged
+        assert ev.evaluations <= ceiling
 
 
 def _dispersive_reference(D, a, eps_bar, omega0, lam):

@@ -72,6 +72,9 @@ CALLS = [
     ["cutoff-sum", "--cutoff-lambda", "0.5"],
     ["cutoff-sum", "--cutoff-lambda", "0.5", "--eps-bar", "2", "--omega0", "1",
      "--format", "json"],
+    # even-D vacuum mode sums, on the same cosh map as odd D
+    ["cutoff-sum", "--D", "6", "--cutoff-lambda", "0.1"],
+    ["cutoff-sum", "--D", "8", "--cutoff-lambda", "0.2", "--format", "json"],
     ["crosscheck"],
     ["crosscheck", "--suite", "all", "--format", "json"],
     # sweeps: lin, log, D
