@@ -44,13 +44,18 @@ must be finite: at lambda = inf the sum would be 0 for any geometry.
 
 Every constant-index integral here is int_0^inf k^(d-2) E w(z E/q) dk,
 E = sqrt(k^2 + q^2): each mode integral (q = pi m/a, z = lambda q,
-w(u) = e^(-u)/n(E)) and the inner k integral of the cartesian pressure
-route (q = n zeta, z = 2 a q, w(u) = 1/(e^u - 1)).  All run on the map
-k = q sinh s, as q^d int_0^s_max sinh^(d-2)s cosh^2 s w(z cosh s) ds with
-z cosh s_max = 745.2, where w underflows: an integrand analytic at every
-D, which adaptive_quad resolves to a few 1e-15 relative in 1.4-2.5x fewer
-evaluations than on its map t/(1-t) of E or k (there a mode integral's
-weight (E^2 - q^2)^((D-4)/2) is singular at E = q for D = 3).  Only the
+w(u) = e^(-u)/n(E), a constant n taken outside) and the inner k integral
+of the cartesian pressure route (q = n zeta, z = 2 a q,
+w(u) = 1/(e^u - 1)).  All run on
+engine.cosh_quad with j = d - 2, p = 1: the map k = q sinh s, as
+q^d int_0^s1 sinh^(d-2)s cosh^2 s w(z cosh s) ds, an integrand analytic at
+every D, which adaptive_quad resolves to a few 1e-15 relative in 1.4-2.5x
+fewer evaluations than on its map t/(1-t) of E or k (there a mode
+integral's weight (E^2 - q^2)^((D-4)/2) is singular at E = q for D = 3).
+The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
+D = 12, where a closed bound on the dropped tail falls to a quarter of the
+rounding floor; that bound is part of err_estimate.  Past z ~ 700 the end
+stays at z cosh s1 = 745.2, where w underflows.  Only the
 dispersive sum with eps_bar > 1 keeps that E-map, split at the jump of
 n(k) at omega0, so at D = 3 it still raises ZeroDivisionError (the
 benchmark's reference, perfbench/oracle.py, has no D = 3 dispersive form
@@ -64,7 +69,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, finite_diff, sum_series
+from .engine import adaptive_quad, bose, cosh_quad, finite_diff, sum_series
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
@@ -112,30 +117,6 @@ def _pressure_prefactor(cfg: HyperConfig) -> float:
     return -2.0 * (cfg.D - 2) * solid_angle(d - 1) / (2.0 * math.pi) ** d
 
 
-_EXP_UNDERFLOW = 745.2  # e^(-x) is exactly 0 in double precision past about 745.13
-_EXP_SUBNORMAL = 708.3  # and subnormal, with fewer than 53 bits, past about 708.40
-
-
-def _bose(u: float) -> float:  # 1/(e^u - 1), underflowing to 0 instead of overflowing
-    return math.exp(-u) / -math.expm1(-u)
-
-
-def _cosh_quad(d: int, q: float, z: float, w, tol: Tolerance) -> EnergyValue:
-    # int_0^inf k^(d-2) E w(z E/q) dk, E = sqrt(k^2 + q^2), on k = q sinh s (see
-    # the module docstring).  w(u) is exactly 0 past _EXP_UNDERFLOW, where the
-    # quadrature ends; for z past _EXP_SUBNORMAL every value is subnormal, no
-    # relative tolerance can be met, and the integral is e^(-708) below its sum.
-    if z > _EXP_SUBNORMAL:
-        return EnergyValue(0.0, 0.0, "quadrature", True, 0)
-    scale = q**d
-
-    def g(s: float) -> float:
-        c = math.cosh(s)
-        return scale * math.sinh(s) ** (d - 2) * c * c * w(z * c)
-
-    return adaptive_quad(g, 0.0, math.acosh(_EXP_UNDERFLOW / z), tol)
-
-
 def pressure_quadrature(
     cfg: HyperConfig, tol: Tolerance = DEFAULT_TOL, route: str = "polar"
 ) -> EnergyValue:
@@ -168,7 +149,7 @@ def pressure_quadrature(
 
         def inner(zeta: float) -> float:
             c = cfg.n * zeta
-            return inner_acc.take(_cosh_quad(d, c, 2.0 * cfg.a * c, _bose, inner_tol))
+            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, bose, inner_tol))
 
         outer = adaptive_quad(inner, 0.0, math.inf, tol)
         value = pref * outer.value
@@ -261,7 +242,7 @@ def _mode_sum(
     cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
 ) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
-    # q = pi m / a.  Without a jump (_split = inf) each mode runs on _cosh_quad.
+    # q = pi m / a.  Without a jump (_split = inf) each mode runs on cosh_quad.
     # With one it runs over t in (0, 1) with E = q + t/(1-t), adaptive_quad's map
     # of (q, inf), split at the t of _split so that both pieces keep nodes near q.
     d = cfg.d
@@ -275,7 +256,7 @@ def _mode_sum(
 
     def cosh_term(m: int) -> float:
         q = math.pi * m / cfg.a
-        return acc.take(_cosh_quad(d, q, lam * q, weight, quad_tol))
+        return acc.take(cosh_quad(d - 2, 1, q, lam * q, weight, quad_tol))
 
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
@@ -305,7 +286,11 @@ def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> E
     """Exponentially regulated vacuum-mode energy at a finite cutoff
     lambda > 0; the medium enters only through the overall 1/n."""
     _check_cutoff(lam)
-    return _mode_sum(cfg, lam, tol, lambda e: cfg.n)
+    # 1/n outside the weight: cosh_quad's tail bound is tight for w(u) = e^(-u)
+    # and n times too large for e^(-u)/n
+    ev = _mode_sum(cfg, lam, tol, lambda e: 1.0)
+    n = cfg.n
+    return EnergyValue(ev.value / n, ev.err_estimate / n, ev.method, ev.converged, ev.evaluations)
 
 
 def cutoff_mode_energy(

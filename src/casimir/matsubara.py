@@ -27,13 +27,15 @@ alpha beta = pi^2) gives the exact dual with v = pi^2/u,
 whose closed part is the low-temperature expansion and whose S(v) falls
 like e^(-2 pi^2/u).  Either way a handful of terms reach rounding; the
 error estimate is the geometric tail bound plus a rounding term and an
-underflow floor.  F, P and U all read this kernel, so no production
-route needs quadrature or extended precision.  Below T0_LIMIT_NAT, where
-S'(u) ~ u^-2 would leave the double range, U and P are their T = 0
-closed forms, which they equal there to rounding.  Every route returns
-the engine's EnergyValue (re-exported here with METHOD_TAGS), whose
-evaluations count the engine work behind it: 0 for the kernel and the
-closed forms.
+underflow floor; past a term whose e^(-2ju) underflows, a bound on the
+rest, which U multiplies by its prefactor in logs (at huge T an exact 0
+is not charged 4 ulp(0) times T^2 u).  F, P and U all read this kernel,
+so no production route needs quadrature or extended precision.  Below
+T0_LIMIT_NAT, where S'(u) ~ u^-2 would leave the double range, U and P
+are their T = 0 closed forms, which they equal there to rounding.
+Every route returns the engine's EnergyValue (re-exported here with
+METHOD_TAGS), whose evaluations count the engine work behind it: 0 for
+the kernel and the closed forms.
 
 Each production quantity keeps independent check routes (casimir
 crosscheck).  For F and P they are the per-term quadrature of I (and,
@@ -182,7 +184,9 @@ def pressure_quad(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValu
 
 class _Kernel(NamedTuple):
     """S(u), S'(u) and their error estimates (see the module docstring),
-    with the tag of the route that summed them."""
+    with the tag of the route that summed them and the log of a bound on
+    the part of |S'| past the first underflowed hyperbolic term (-inf if
+    none), which err_ds leaves out: U scales it by its prefactor in logs."""
 
     s: float
     ds: float
@@ -190,6 +194,7 @@ class _Kernel(NamedTuple):
     err_ds: float
     converged: bool
     method: str
+    log_rest_ds: float
 
 
 def _hyperbolic_tails(u: float, max_iter: int) -> tuple:
@@ -200,44 +205,52 @@ def _hyperbolic_tails(u: float, max_iter: int) -> tuple:
 
     for u >~ 1.  Every term ratio of either sum is at most r = e^(-2u),
     so t r/(1 - r) bounds the tail after a term t; the sums stop once
-    that bound is below rounding.  Returns (R, D, err_R, err_D,
-    converged); each error adds UNDERFLOW per term reached, all that is
-    left once the terms are subnormal (u >~ 354)."""
+    that bound is below rounding, or at the first term whose e^(-2x),
+    x = ju, underflows.  Past that term R and 2u D are at most
+    (2 + 4x) e^(-2x)/(1 - r) and 8u e^(-2x)/(1 - r), to 1 + O(e^(-2x)).
+    Returns (R, D, err_R, err_D, converged, log_rest): each error adds
+    UNDERFLOW per term summed, all that is left once the terms are
+    subnormal (u >~ 354); err_R holds R's part past an underflowed term,
+    and log_rest is the log of 2u D's (-inf if none)."""
     r = math.exp(-2.0 * u)
     big_r = d = 0.0
+    summed, log_rest = 0, -math.inf
     for j in range(1, max_iter + 1):
         x = j * u
         q = math.exp(-2.0 * x)
         if q == 0.0:  # this term and all later ones underflow
-            tail_r, tail_d, ok = 0.0, 0.0, True
+            tail_r = math.exp(math.log(2.0 + 4.0 * x) - 2.0 * x) / (1.0 - r)
+            tail_d, ok = 0.0, True
+            log_rest = math.log(8.0 * u / (1.0 - r)) - 2.0 * x
             break
         one_minus = -math.expm1(-2.0 * x)
         t_r = (2.0 * q + 4.0 * x * q / one_minus) / (one_minus * j**3)
         t_d = 4.0 * q * (1.0 + q) / (one_minus**3 * j)
         big_r += t_r
         d += t_d
+        summed = j
         tail_r, tail_d = t_r * r / (1.0 - r), t_d * r / (1.0 - r)
         ok = tail_r <= ROUNDING * big_r and tail_d <= ROUNDING * d
         if ok:
             break
-    floor = UNDERFLOW * j
-    return big_r, d, tail_r + floor, tail_d + floor, ok
+    floor = UNDERFLOW * summed
+    return big_r, d, tail_r + floor, tail_d + floor, ok, log_rest
 
 
 def _kernel_direct(u: float, max_iter: int) -> _Kernel:
     """S and S' summed directly: S = zeta(3) + R(u), S' = -2u D(u)."""
-    big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(u, max_iter)
+    big_r, d, tail_r, tail_d, ok, log_rest = _hyperbolic_tails(u, max_iter)
     s = _ZETA3 + big_r
     ds = -2.0 * u * d
     err_s = tail_r + ROUNDING * s
     err_ds = 2.0 * u * tail_d + ROUNDING * abs(ds)
-    return _Kernel(s, ds, err_s, err_ds, ok, "direct_sum")
+    return _Kernel(s, ds, err_s, err_ds, ok, "direct_sum", log_rest)
 
 
 def _kernel_dual(u: float, max_iter: int) -> _Kernel:
     """S and S' from the exact dual at v = pi^2/u."""
     v = math.pi**2 / u
-    big_r, d, tail_r, tail_d, ok = _hyperbolic_tails(v, max_iter)
+    big_r, d, tail_r, tail_d, ok, log_rest = _hyperbolic_tails(v, max_iter)
     s_v = _ZETA3 + big_r
     pieces = (math.pi**4 / (45.0 * u), -(u**3) / 45.0, (u / math.pi) ** 2 * s_v)
     # 0 once u*u underflows (u <~ 1e-162): S' is out of range there, and
@@ -251,7 +264,7 @@ def _kernel_dual(u: float, max_iter: int) -> _Kernel:
     )
     err_s = (u / math.pi) ** 2 * tail_r + ROUNDING * sum(map(abs, pieces))
     err_ds = 2.0 * u / math.pi**2 * tail_r + 2.0 * v * tail_d + ROUNDING * sum(map(abs, d_pieces))
-    return _Kernel(sum(pieces), sum(d_pieces), err_s, err_ds, ok, "poisson_resummed")
+    return _Kernel(sum(pieces), sum(d_pieces), err_s, err_ds, ok, "poisson_resummed", log_rest)
 
 
 def _thermal_kernel(cfg: CavityConfig, tol: Tolerance) -> _Kernel:
@@ -461,9 +474,12 @@ def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyVa
     k = _thermal_kernel(cfg, tol)
     u = 2.0 * math.pi * cfg.naT
     value = pref * k.ds
+    # S' past an underflowed term times pref, formed in logs: the bare bound
+    # is 0 or subnormal where pref * 8u can be past the double range
+    rest = math.exp(math.log(pref) + k.log_rest_ds)
     # the rounding of u, amplified by |d ln U/d ln u| <= 2 + 2u, and of
-    # the prefactor
-    err = pref * k.err_ds + ROUNDING * (3.0 + 2.0 * u) * abs(value)
+    # the prefactor; UNDERFLOW once U itself is subnormal
+    err = pref * k.err_ds + rest + ROUNDING * (3.0 + 2.0 * u) * abs(value) + UNDERFLOW
     return EnergyValue(value, err, k.method, k.converged)
 
 

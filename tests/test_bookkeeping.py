@@ -10,7 +10,8 @@ from casimir import dispersion, engine, green_em, hyperdim, matsubara
 from casimir.matsubara import CavityConfig
 
 MODULES = (matsubara, green_em, hyperdim, dispersion)
-ENGINE_CALLS = ("adaptive_quad", "sum_series", "finite_diff")
+ENGINE_CALLS = ("adaptive_quad", "cosh_quad", "sum_series", "finite_diff")
+QUADRATURES = ("adaptive_quad", "cosh_quad")
 
 # the routes that fold inner results; each is cheap at these inputs
 ROUTES = {
@@ -52,7 +53,7 @@ def test_one_unconverged_inner_result_is_reported(route, monkeypatch):
     calls = []
 
     def flag_second_quadrature(name, res):
-        if name == "adaptive_quad":
+        if name in QUADRATURES:
             calls.append(res)
             if len(calls) == 2:
                 return dataclasses.replace(res, converged=False)

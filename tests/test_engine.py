@@ -8,8 +8,8 @@ import pytest
 
 import casimir
 from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
-from casimir.engine import adaptive_quad, sum_series, finite_diff
-from casimir.engine import _GL_NODES, _GL_WEIGHTS
+from casimir.engine import adaptive_quad, bose, cosh_quad, sum_series, finite_diff
+from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_margin, _cosh_tail
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
 TIGHT = Tolerance(rel=1e-12, abs=0.0)
@@ -139,6 +139,86 @@ class TestAdaptiveQuad:
         res = adaptive_quad(counted, 0.0, hi, TIGHT, max_panels=max_panels)
         assert res.converged is converged and res.method == "quadrature"
         assert res.evaluations == len(calls) > 45
+
+
+def _mp_cosh_tail(j, p, q, z, x1, bose_weight):
+    """30-digit q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
+    m = j + p, x1 = z cosh s1, in x = z cosh s = x1 + y with the e^(-x1) of
+    w taken out of the integral, which then is of order 1."""
+    with mp.workdps(30):
+        q, z, x1 = mp.mpf(q), mp.mpf(z), mp.mpf(x1)
+        h = mp.mpf(j - 1) / 2
+
+        def f(y):
+            x = x1 + y
+            w = mp.exp(-y) / (-mp.expm1(-x) if bose_weight else 1)
+            return ((x - z) * (x + z)) ** h * x ** (p + 1) * w
+
+        return (q / z) ** (j + p + 1) * mp.exp(-x1) * mp.quad(f, [0, mp.inf])
+
+
+def _mp_cosh_value(shape, j, p, q, z):
+    """The whole integral at 30 digits: closed forms for em's sinh * Bose,
+    -(q/z) ln(1 - e^(-z)), and for the mode weight e^(-u), through
+    int_0^inf sinh^(2 nu) s e^(-z cosh s) ds = Gamma(nu + 1/2) (2/z)^nu K_nu(z)/sqrt(pi)
+    with cosh^2 = 1 + sinh^2; the Bose weight (cartesian inner) as the tail
+    from z."""
+    with mp.workdps(30):
+        qm, zm = mp.mpf(q), mp.mpf(z)
+        if shape == "em":
+            return qm / zm * -mp.log1p(-mp.exp(-zm))
+        if shape == "mode":
+            def sinh_moment(k):  # int_0^inf sinh^k s e^(-z cosh s) ds
+                nu = mp.mpf(k) / 2
+                return mp.gamma(nu + 0.5) * (2 / zm) ** nu * mp.besselk(nu, zm) / mp.sqrt(mp.pi)
+
+            return qm ** (j + 2) * (sinh_moment(j) + sinh_moment(j + 2))
+        return _mp_cosh_tail(j, p, q, z, z, True)
+
+
+# the mode integrals and the cartesian inner integral at D = 3..12, em's
+# inner integral; (shape, j, p)
+COSH_SHAPES = (
+    [("mode", D - 3, 1) for D in range(3, 13)]
+    + [("bose", D - 3, 1) for D in range(3, 13)]
+    + [("em", 1, -1)]
+)
+
+
+class TestCoshQuad:
+    @pytest.mark.parametrize("z", [1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
+    @pytest.mark.parametrize("shape, j, p", COSH_SHAPES)
+    def test_tail_bound_and_value(self, shape, j, p, z):
+        # q = e^(z/(m+1)) keeps the value and the tail normal numbers at z = 700
+        q = math.exp(z / (j + p + 1))
+        w = (lambda u: math.exp(-u)) if shape == "mode" else bose
+        ev = cosh_quad(j, p, q, z, w, Tolerance(rel=1e-13, abs=0.0))
+        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
+        bound = _cosh_tail(j, p, q, z, x1)
+        tail = _mp_cosh_tail(j, p, q, z, x1, shape != "mode")
+        assert ev.converged
+        assert bound >= tail
+        if x1 < _EXP_UNDERFLOW:
+            assert bound <= ROUNDING * abs(ev.value)
+        else:
+            # cut at the underflow of e^(-u), 45.2 past z = 700: at D = 11
+            # and 12 the dropped part itself is 1.9 and 6.3 ROUNDING |value|
+            assert bound <= 1.01 * tail
+        # adaptive_quad's estimate has no rounding floor; each weight carries
+        # the rounding of its argument u = z cosh s, about u eps relative
+        ref = _mp_cosh_value(shape, j, p, q, z)
+        assert abs(ev.value - ref) <= ev.err_estimate + ROUNDING * (2.0 + z) * abs(ev.value)
+
+    def test_subnormal_weights_give_an_exact_zero(self):
+        ev = cosh_quad(1, 1, 1.0, 710.0, bose)
+        assert (ev.value, ev.err_estimate, ev.converged, ev.evaluations) == (0.0, 0.0, True, 0)
+
+    def test_margin_meets_its_share_of_rounding(self):
+        # Q(m+1, M) = Gamma(m+1, M)/m! = ROUNDING/4 defines the cut
+        for m in (0, 1, 5, 10):
+            with mp.workdps(30):
+                share = mp.gammainc(m + 1, _cosh_margin(m), regularized=True)
+            assert share == pytest.approx(ROUNDING / 4, rel=1e-6)
 
 
 class TestAccumulator:

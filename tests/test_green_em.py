@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from casimir.engine import Tolerance
+from casimir.engine import DEFAULT_TOL, Tolerance
 from casimir.matsubara import CavityConfig, internal_energy_direct
 from casimir.green_em import (
     greens_components,
@@ -110,6 +110,13 @@ class TestEnergyT0:
         wp = em_energy_T0_polar(CFG0, Tolerance(rel=1e-12, abs=0.0))
         assert wp.value == pytest.approx(w.value, rel=1e-9)
         assert wp.value == pytest.approx(-PI2_720, rel=1e-11)
+
+    @pytest.mark.parametrize("tol, ceiling", [(DEFAULT_TOL, 52_000), (Tolerance(rel=1e-11, abs=0.0), 69_000)])
+    def test_evaluation_ceiling(self, tol, ceiling):
+        # 47 370 and 63 510 evaluations: the inner k integral on k = n zeta sinh s
+        w = em_energy_T0(CFG0, tol)
+        assert w.converged
+        assert w.evaluations <= ceiling
 
     def test_negative_definite(self):
         # 1/(kappa d) > 0 pointwise, so the energy is attractive for any (a, n)

@@ -325,14 +325,17 @@ class TestInternalEnergyRoutes:
         u = internal_energy_direct(cavity(T, n=n, a=a))
         assert abs(u.value - internal_energy_mp(a, T, n)) <= u.err_estimate
 
-    @pytest.mark.parametrize("naT", [56.5, 57.3, 57.5, 58.0, 59.0])
     @pytest.mark.parametrize("route", [internal_energy, internal_energy_direct, em_energy_finiteT])
-    def test_within_err_estimate_near_underflow(self, route, naT):
-        # the hyperbolic terms are subnormal here, so their rounding is
-        # absolute, while U itself stays representable
-        u = route(cavity(naT))
-        assert u.converged
-        assert abs(u.value - internal_energy_mp(1.0, naT, 1.0)) <= u.err_estimate
+    def test_within_err_estimate_near_underflow(self, route):
+        # naT = 55..62 in steps of 0.05: the hyperbolic terms are subnormal,
+        # so their rounding is absolute, while U itself stays representable;
+        # from naT ~ 59.3 on every term underflows, internal_energy returns
+        # -0.0 and its estimate is the bound on the dropped remainder
+        for i in range(141):
+            naT = 55.0 + 0.05 * i
+            u = route(cavity(naT))
+            assert u.converged
+            assert abs(u.value - internal_energy_mp(1.0, naT, 1.0)) <= u.err_estimate, naT
 
     def test_T0_is_the_closed_form(self):
         assert internal_energy(cavity(0.0)) == free_energy_T0(cavity(0.0))
@@ -370,6 +373,14 @@ class TestTemperatureRange:
         r = route(cavity(T))
         assert r.converged and math.isfinite(r.err_estimate)
         assert abs(r.value - limit) <= r.err_estimate
+
+    @pytest.mark.parametrize("T", [1e150, 1e153])
+    def test_huge_temperature_error_bar_is_an_underflow(self, T):
+        # U underflows to -0.0; the dropped remainder pref 8u e^(-2u) is 0
+        # when formed with its prefactor in logs
+        u = internal_energy(cavity(T))
+        assert u.converged and u.value == 0.0
+        assert u.err_estimate <= 1e-300
 
     @pytest.mark.parametrize("T", [1e200, 1e300])
     @pytest.mark.parametrize("route", [internal_energy, internal_energy_from_F])

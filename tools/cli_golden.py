@@ -60,6 +60,7 @@ CALLS = [
     ["internal-energy", "--a", "1", "--T", "1", "--n", "1"],
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
     ["em-energy", "--a", "1", "--n", "1"],
+    ["em-energy", "--T", "0", "--a", "0.7", "--n", "2.3"],
     ["em-energy", "--T", "0.5", "--format", "json"],
     ["pressure", "--D", "4", "--n", "1", "--a", "1"],
     ["pressure", "--T", "0.3", "--a", "1.2", "--n", "1.4", "--format", "json"],
@@ -75,6 +76,7 @@ CALLS = [
     # even-D vacuum mode sums, on the same cosh map as odd D
     ["cutoff-sum", "--D", "6", "--cutoff-lambda", "0.1"],
     ["cutoff-sum", "--D", "8", "--cutoff-lambda", "0.2", "--format", "json"],
+    ["cutoff-sum", "--D", "12", "--cutoff-lambda", "0.05"],
     ["crosscheck"],
     ["crosscheck", "--suite", "all", "--format", "json"],
     # sweeps: lin, log, D
