@@ -29,6 +29,7 @@ adiabatic_variation_check exposes both sides for comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .dispersion import (
@@ -84,9 +85,13 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class CircuitEnergy:
+    """The circuit energy with the bound on its rounding error, the
+    eigenfrequency and dC/d omega there."""
+
     value: float
     omega_star: float
     dC_domega: float
+    err_estimate: float = 0.0
 
 
 def eigenfrequency(spec: CircuitSpec) -> float:
@@ -114,7 +119,27 @@ def circuit_energy(spec: CircuitSpec) -> CircuitEnergy:
     c = spec.capacitance(w)
     dc = spec.dC_domega(w)
     value = (c + 0.5 * w * dc) * spec.phi_sq_bar
-    return CircuitEnergy(value=value, omega_star=w, dC_domega=dc)
+    err = _energy_rounding(spec, w) * abs(value)
+    return CircuitEnergy(value=value, omega_star=w, dC_domega=dc, err_estimate=err)
+
+
+def _energy_rounding(spec: CircuitSpec, w: float) -> float:
+    # Relative rounding bound of circuit_energy, first order in u = eps/2.
+    # Without a dielectric the value is A_plate/a * phi_sq_bar: 2 u.  With one,
+    # k = 1/(sqrt(L) sqrt(A_plate/a)) is good to 4.5 u, which w inherits at
+    # most (d ln w/d ln k <= 1 on the lower branch), and the closed root to
+    # 10 u more: in units of max(k, omega0)^2 every term of x+ is positive
+    # but kk^2 - w^2, whose absolute error (7 u) is small against x+ >= 1/2,
+    # so x+ is good to 16 u, its square root to 9 u.  With r = (w/omega0)^2,
+    # g = 1 - r is good to dg = (2 dw + 3 u) r/g + u, and the two positive
+    # terms of the energy, c and w dC/d omega / 2, to 2 dw + 2 dg + 11 u.
+    u = 0.5 * sys.float_info.epsilon
+    if spec.eps_model is None:
+        return 2.0 * u
+    r = (w / spec.eps_model.omega0) ** 2
+    dw = 14.5 * u
+    dg = (2.0 * dw + 3.0 * u) * r / (1.0 - r) + u
+    return 2.0 * dw + 2.0 * dg + 11.0 * u
 
 
 def adiabatic_variation_check(spec: CircuitSpec, delta_a_rel: float) -> tuple[float, float]:

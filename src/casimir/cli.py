@@ -169,7 +169,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
             phi_sq_bar=params["phi_sq"],
         )
         energy = circuit_mod.circuit_energy(spec)
-        ev = EnergyValue(energy.value, abs(energy.value) * 1e-12, "closed_form")
+        ev = EnergyValue(energy.value, energy.err_estimate, "closed_form")
         return [_energy_row(_COLUMNS[command], dict(params, eps_bar=model.eps_bar), ev)]
     if command == "cutoff-sum":
         hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])

@@ -45,11 +45,18 @@ crosscheck compares this sum with the independent internal-energy series
 of casimir.matsubara (W = U).
 
 em_energy_T0 runs the inner k integral of W(T=0) on engine.cosh_quad
-(j = 1, p = -1): with q = n zeta, z = 2 a q and k = q sinh s it is
-q int_0^s1 sinh s / (e^(z cosh s) - 1) ds, cut at z cosh s1 = z + 36.0,
-where the closed bound on the dropped tail,
+(j = 1, p = -1, the Bose weight): with q = n zeta, z = 2 a q and
+k = q sinh s it is q int_0^s1 sinh s / (e^(z cosh s) - 1) ds, cut at
+z cosh s1 = z + 36.0, where the closed bound on the dropped tail,
 (q/z) e^(-z cosh s1)/(1 - e^(-z cosh s1)), is at most a quarter of the
-rounding floor of the value; the bound joins the error estimate.
+rounding floor of the value; the bound joins the error estimate.  The
+outer integral runs on zeta = e^sigma, which resolves the zeta^2 ln zeta
+behaviour at zeta -> 0 in a few panels, over x = 2 a n zeta from 1e-7 to
+708.3, past which every inner integral is an exact 0.  Each dropped end
+has a closed bound from bose(u) <= e^(-u)(1 + 1/u), which gives
+J(zeta) <= (e^(-x) + E1(x))/(2a) for the inner integral J; the bounds
+(about 3e-21 of the value below, e^(-708) above) join the error estimate.
+On this map every (a, n) is the same integral shifted in sigma.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import ROUNDING, DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, bose, cosh_quad, sum_series
+from .engine import ROUNDING, DEFAULT_TOL, _EXP_SUBNORMAL, Accumulator, EnergyValue, Tolerance
+from .engine import adaptive_quad, cosh_quad, sum_series
 from .matsubara import CavityConfig
 
 __all__ = [
@@ -156,30 +163,57 @@ def spectral_energy_density(
     return EnergySpectralPoint(electric_half=electric, magnetic_half=magnetic)
 
 
+# The outer zeta range of em_energy_T0 in x = 2 a n zeta: from _X_LOW, where
+# the dropped start is ~3e-21 of the value, to _EXP_SUBNORMAL, past which
+# every inner integral is an exact 0.
+_X_LOW = 1e-7
+
+
+def _t0_end_bounds(x0: float, x1: float) -> tuple[float, float]:
+    # Bounds on int x^2 (2 a J) dx over (0, x0) and (x1, inf), J the inner k
+    # integral at x = 2 a n zeta.  Since bose(u) <= e^(-u) (1 + 1/u),
+    # 2 a J <= e^(-x) + E1(x), never the closed inner integral.  Below x0:
+    # int_0^x0 x^2 E1 = x0^3 E1(x0)/3 + gamma(3, x0)/3, gamma(3, x0) <= x0^3/3
+    # and E1(x) < e^(-x) ln(1 + 1/x).  Above x1: Gamma(3, x1) =
+    # e^(-x1) (x1^2 + 2 x1 + 2) and E1(x) <= e^(-x)/x, so int x^2 E1 <= Gamma(2, x1).
+    low = x0**3 * (4.0 / 9.0 + math.log1p(1.0 / x0) / 3.0)
+    high = math.exp(-x1) * (x1 * x1 + 3.0 * x1 + 3.0)
+    return low, high
+
+
 def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Zero-temperature energy per unit area by nested adaptive
     quadrature over (zeta, k_perp): the independent check, at constant
     eps, of the closed k integral that casimir.dispersion relies on.  The
     inner k integral runs on the map k = n zeta sinh s up to the cut of
-    engine.cosh_quad, whose tail bound is part of each inner error."""
+    engine.cosh_quad, whose tail bound is part of each inner error.  The
+    outer integral runs on zeta = e^sigma, over 2 a n zeta in (1e-7, 708.3);
+    closed bounds on the two dropped ends join the error estimate."""
     if cfg.T != 0:
         raise ValueError("em_energy_T0 requires T = 0 in the config")
     n2 = cfg.n**2
+    c = 2.0 * cfg.a * cfg.n  # x = c zeta
     inner_rel = max(1e-13, min(tol.rel * 1e-2, 1e-12))
     inner_tol = Tolerance(rel=inner_rel, abs=0.0, max_iter=tol.max_iter)
     outer_tol = Tolerance(rel=tol.rel, abs=0.0, max_iter=tol.max_iter)
     inner_acc = Accumulator()
-
-    def inner(zeta: float) -> float:
-        q = cfg.n * zeta
-        return zeta * zeta * inner_acc.take(cosh_quad(1, -1, q, 2.0 * cfg.a * q, bose, inner_tol))
-
-    outer = adaptive_quad(inner, 0.0, math.inf, outer_tol)
     pref = -n2 * cfg.a / math.pi**2
-    value = pref * outer.value
+
+    def inner(sigma: float) -> float:
+        # pref first: the integrand is of the size of W, so it is finite
+        # wherever W is, while int zeta^3 J d sigma ~ 1/(n^3 a^4) is not
+        zeta = math.exp(sigma)
+        q = cfg.n * zeta
+        j = inner_acc.take(cosh_quad(1, -1, q, 2.0 * cfg.a * q, "bose", inner_tol))
+        return pref * zeta * zeta * zeta * j
+
+    outer = adaptive_quad(inner, math.log(_X_LOW / c), math.log(_EXP_SUBNORMAL / c), outer_tol)
+    value = outer.value
+    # the ends in zeta are (2 a c^3)^(-1) times the x integrals of _t0_end_bounds
+    ends = abs(pref) * sum(_t0_end_bounds(_X_LOW, _EXP_SUBNORMAL)) / (2.0 * cfg.a) / c / c / c
     return EnergyValue(
         value,
-        abs(pref) * outer.err_estimate + inner_acc.rel_max * abs(value),  # inner values: one sign
+        outer.err_estimate + inner_acc.rel_max * abs(value) + ends,  # inner values: one sign
         "quadrature",
         outer.converged and inner_acc.converged,
         outer.evaluations + inner_acc.evaluations,

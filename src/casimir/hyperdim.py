@@ -43,10 +43,11 @@ k = omega0, so there each mode integral is split in two.  Every cutoff
 must be finite: at lambda = inf the sum would be 0 for any geometry.
 
 Every constant-index integral here is int_0^inf k^(d-2) E w(z E/q) dk,
-E = sqrt(k^2 + q^2): each mode integral (q = pi m/a, z = lambda q,
-w(u) = e^(-u)/n(E), a constant n taken outside) and the inner k integral
-of the cartesian pressure route (q = n zeta, z = 2 a q,
-w(u) = 1/(e^u - 1)).  All run on
+E = sqrt(k^2 + q^2): each mode integral (q = pi m/a, z = lambda q, the
+weight named "exp", w(u) = e^(-u): a constant n is taken outside, and
+n(E) = 1 for eps_bar = 1, the one dispersive model without a gap) and
+the inner k integral of the cartesian pressure route (q = n zeta,
+z = 2 a q, the weight "bose", w(u) = 1/(e^u - 1)).  All run on
 engine.cosh_quad with j = d - 2, p = 1: the map k = q sinh s, as
 q^d int_0^s1 sinh^(d-2)s cosh^2 s w(z cosh s) ds, an integrand analytic at
 every D, which adaptive_quad resolves to a few 1e-15 relative in 1.4-2.5x
@@ -69,7 +70,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, bose, cosh_quad, finite_diff, sum_series
+from .engine import adaptive_quad, cosh_quad, finite_diff, sum_series
 from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
@@ -149,7 +150,7 @@ def pressure_quadrature(
 
         def inner(zeta: float) -> float:
             c = cfg.n * zeta
-            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, bose, inner_tol))
+            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, "bose", inner_tol))
 
         outer = adaptive_quad(inner, 0.0, math.inf, tol)
         value = pref * outer.value
@@ -161,10 +162,19 @@ def pressure_quadrature(
 
 
 def pressure_closed(cfg: HyperConfig) -> EnergyValue:
-    """Closed-form pressure (D-1) w1, no regularization needed."""
+    """Closed-form pressure (D-1) w1, no regularization needed.
+
+    Its error estimate counts roundings, first order in u = eps/2:
+    _density_scale's (D-1)//2 recurrence steps round twice each and carry
+    the representation error of math.pi (3.9e-17 < u/2), as does the start
+    1/(4 pi); the factor D-2, a**D (pow, within 1 ulp), n a^D and the
+    quotient round 5 times; riemann_zeta(D) about 6 times (its pow terms,
+    its small-to-large sum, at most u zeta(D-1) <= 1.7 u, its final sum and
+    its truncation, below 1e-16); the products by zeta(D) and D-1 twice.
+    """
     value = (cfg.D - 1) * _w1(cfg)
-    # the Gamma ratio rounds twice per factor, about D/2 factors
-    err = abs(value) * max(1e-14, cfg.D * sys.float_info.epsilon)
+    steps = (cfg.D - 1) // 2
+    err = abs(value) * (2.5 * steps + 14.5) * (0.5 * sys.float_info.epsilon)
     return EnergyValue(value, err, "closed_form")
 
 
@@ -222,15 +232,14 @@ def density_profile(cfg: HyperConfig, u_grid) -> DensityProfile:
 
 def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     """The two density-route pressures: (D-1) w1 and -d(a w1)/da by
-    engine.finite_diff.  Both equal pressure_closed."""
-    ident = EnergyValue((cfg.D - 1) * _w1(cfg), abs(_w1(cfg)) * 1e-14, "closed_form")
+    engine.finite_diff.  Both equal pressure_closed; the first is it."""
 
     def minus_a_w1(a: float) -> float:
         return -a * _w1(HyperConfig(dim=cfg.dim, a=a, n=cfg.n))
 
     # a w1 is a^(1-D) times a constant: at h = 1e-4 a the h^4 truncation
     # (~D^4 h^4 / 480) sits below the rounding floor of finite_diff (~eps/h)
-    return ident, finite_diff(minus_a_w1, cfg.a, cfg.a * 1.0e-4)
+    return pressure_closed(cfg), finite_diff(minus_a_w1, cfg.a, cfg.a * 1.0e-4)
 
 
 def _check_cutoff(lam: float) -> None:
@@ -239,24 +248,23 @@ def _check_cutoff(lam: float) -> None:
 
 
 def _mode_sum(
-    cfg: HyperConfig, lam: float, tol: Tolerance, n_of_k, _split: float = math.inf
+    cfg: HyperConfig, lam: float, tol: Tolerance, model: LorentzModel | None = None
 ) -> EnergyValue:
     # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
-    # q = pi m / a.  Without a jump (_split = inf) each mode runs on cosh_quad.
-    # With one it runs over t in (0, 1) with E = q + t/(1-t), adaptive_quad's map
-    # of (q, inf), split at the t of _split so that both pieces keep nodes near q.
+    # q = pi m / a.  Without a polariton gap n(E) = 1 (model None, or
+    # eps_bar = 1), and each mode runs on cosh_quad with the weight e^(-u).
+    # Across a gap it runs over t in (0, 1) with E = q + t/(1-t), adaptive_quad's
+    # map of (q, inf), split at the t of omega0 so that both pieces keep nodes near q.
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
     power = 0.5 * (d - 3)
+    split = math.inf if model is None else _photon_jump(model)
     acc = Accumulator()
-
-    def weight(u: float) -> float:  # u = lam E
-        return math.exp(-u) / n_of_k(u / lam)
 
     def cosh_term(m: int) -> float:
         q = math.pi * m / cfg.a
-        return acc.take(cosh_quad(d - 2, 1, q, lam * q, weight, quad_tol))
+        return acc.take(cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol))
 
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
@@ -267,16 +275,16 @@ def _mode_sum(
                 return 0.0
             e = q + t / u
             base = (e * e - q * q) ** power if power != 0.0 else 1.0
-            return base * e * e * math.exp(-lam * e) / n_of_k(e) / (u * u)
+            return base * e * e * math.exp(-lam * e) / photon_index(model, e) / (u * u)
 
-        t_split = (_split - q) / (1.0 + _split - q) if q < _split else 0.0
+        t_split = (split - q) / (1.0 + split - q) if q < split else 0.0
         edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
         pieces = Accumulator()
         for lo, hi in zip(edges, edges[1:]):
             pieces.take(adaptive_quad(g, lo, hi, quad_tol))
         return acc.take(pieces)
 
-    series = acc.take(sum_series(cosh_term if _split == math.inf else term, start=1, tol=tol))
+    series = acc.take(sum_series(cosh_term if split == math.inf else term, start=1, tol=tol))
     return EnergyValue(
         a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
     )
@@ -288,7 +296,7 @@ def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> E
     _check_cutoff(lam)
     # 1/n outside the weight: cosh_quad's tail bound is tight for w(u) = e^(-u)
     # and n times too large for e^(-u)/n
-    ev = _mode_sum(cfg, lam, tol, lambda e: 1.0)
+    ev = _mode_sum(cfg, lam, tol)
     n = cfg.n
     return EnergyValue(ev.value / n, ev.err_estimate / n, ev.method, ev.converged, ev.evaluations)
 
@@ -317,4 +325,4 @@ def dispersive_hyper_energy(
     _check_cutoff(lam)
     if cfg.n != 1.0:
         raise ValueError("dispersive_hyper_energy models the medium via n(k); set n = 1")
-    return _mode_sum(cfg, lam, tol, lambda k: photon_index(model, k), _photon_jump(model))
+    return _mode_sum(cfg, lam, tol, model)

@@ -27,6 +27,16 @@ def _mp_eigenfrequency(L, a, A_plate, eps_bar, omega0):
         return float(mpmath.sqrt((b - mpmath.sqrt(b * b - 4 * k2 * w2)) / 2))
 
 
+ORACLE_GRID = [
+    (1.0, 1.0, 1.0, 2.0, 10.0),
+    (1e4, 1e-2, 1e3, 6.0, 1e-3),
+    (1e6, 1e-3, 1e6, 1.0 + 1e-12, 1e-3),
+    (3e-3, 2e2, 7e1, 2.0, 10.0),  # root at 0.947 omega0, next to the zone
+    (1e-2, 10.0, 1e-1, 1.0 + 1e-12, 1e3),
+    (1e-7, 0.3, 5.0, 6.0, 1e3),
+]
+
+
 class TestEigenfrequency:
     def test_nondispersive(self):
         assert eigenfrequency(CircuitSpec(L=4.0)) == pytest.approx(0.5, rel=1e-13)
@@ -39,17 +49,7 @@ class TestEigenfrequency:
             1e-200, rel=1e-14, abs=0.0
         )
 
-    @pytest.mark.parametrize(
-        "L,a,A_plate,eps_bar,omega0",
-        [
-            (1.0, 1.0, 1.0, 2.0, 10.0),
-            (1e4, 1e-2, 1e3, 6.0, 1e-3),
-            (1e6, 1e-3, 1e6, 1.0 + 1e-12, 1e-3),
-            (3e-3, 2e2, 7e1, 2.0, 10.0),  # root at 0.947 omega0, next to the zone
-            (1e-2, 10.0, 1e-1, 1.0 + 1e-12, 1e3),
-            (1e-7, 0.3, 5.0, 6.0, 1e3),
-        ],
-    )
+    @pytest.mark.parametrize("L,a,A_plate,eps_bar,omega0", ORACLE_GRID)
     def test_dispersive_oracle(self, L, a, A_plate, eps_bar, omega0):
         spec = CircuitSpec(L=L, a=a, A_plate=A_plate, eps_model=LorentzModel(eps_bar, omega0))
         ref = _mp_eigenfrequency(L, a, A_plate, eps_bar, omega0)
@@ -97,7 +97,32 @@ class TestEigenfrequency:
         CircuitSpec(L=1.0, phi_sq_bar=0.0)  # zero amplitude allowed
 
 
+def _mp_circuit_energy(L, a, A_plate, eps_bar, omega0):
+    # C + omega C'/2 at the 40-digit root, phi_sq_bar = 1
+    with mpmath.workdps(40):
+        k2 = mpmath.mpf(a) / (mpmath.mpf(L) * mpmath.mpf(A_plate))
+        w0 = mpmath.mpf(omega0)
+        b = mpmath.mpf(eps_bar) * w0**2 + k2
+        w = mpmath.sqrt((b - mpmath.sqrt(b * b - 4 * k2 * w0**2)) / 2)
+        c0, e1, g = mpmath.mpf(A_plate) / mpmath.mpf(a), mpmath.mpf(eps_bar) - 1, 1 - (w / w0) ** 2
+        return c0 * (1 + e1 / g) + w * c0 * e1 * w / (w0**2 * g**2)
+
+
 class TestCircuitEnergy:
+    @pytest.mark.parametrize("L,a,A_plate,eps_bar,omega0", ORACLE_GRID)
+    def test_rounding_bound_against_mpmath(self, L, a, A_plate, eps_bar, omega0):
+        spec = CircuitSpec(L=L, a=a, A_plate=A_plate, eps_model=LorentzModel(eps_bar, omega0))
+        e = circuit_energy(spec)
+        assert abs(e.value - _mp_circuit_energy(L, a, A_plate, eps_bar, omega0)) <= e.err_estimate
+        # below the 1e-12 relative it replaces; largest next to the resonance zone
+        assert e.err_estimate <= 1e-13 * e.value
+
+    def test_nondispersive_rounding_bound(self):
+        e = circuit_energy(CircuitSpec(L=4.0, a=3.0, A_plate=0.7, phi_sq_bar=1.3))
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(0.7) / 3 * mpmath.mpf(1.3)
+        assert 0.0 < abs(e.value - ref) <= e.err_estimate
+
     def test_nondispersive_halves(self):
         # d(omega^2 C)/d omega = 2 omega C, so W = C phi^2: equal capacitor
         # and inductor halves C phi^2/2 each

@@ -8,8 +8,8 @@ import pytest
 
 import casimir
 from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
-from casimir.engine import adaptive_quad, bose, cosh_quad, sum_series, finite_diff
-from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_margin, _cosh_tail
+from casimir.engine import adaptive_quad, cosh_quad, sum_series, finite_diff
+from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_integrand, _cosh_margin, _cosh_tail
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
 TIGHT = Tolerance(rel=1e-12, abs=0.0)
@@ -112,6 +112,11 @@ class TestAdaptiveQuad:
         with pytest.raises(ValueError):
             adaptive_quad(lambda x: math.nan, 0.0, 1.0)
 
+    def test_nan_error_stops_at_once(self):
+        # inf - inf makes the panel error NaN, and no split can mend it
+        res = adaptive_quad(lambda x: math.inf, 0.0, 1.0)
+        assert not res.converged and res.evaluations == 45
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             adaptive_quad(math.sin, 2.0, 1.0)
@@ -191,8 +196,8 @@ class TestCoshQuad:
     def test_tail_bound_and_value(self, shape, j, p, z):
         # q = e^(z/(m+1)) keeps the value and the tail normal numbers at z = 700
         q = math.exp(z / (j + p + 1))
-        w = (lambda u: math.exp(-u)) if shape == "mode" else bose
-        ev = cosh_quad(j, p, q, z, w, Tolerance(rel=1e-13, abs=0.0))
+        weight = "exp" if shape == "mode" else "bose"
+        ev = cosh_quad(j, p, q, z, weight, Tolerance(rel=1e-13, abs=0.0))
         x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
         bound = _cosh_tail(j, p, q, z, x1)
         tail = _mp_cosh_tail(j, p, q, z, x1, shape != "mode")
@@ -210,8 +215,38 @@ class TestCoshQuad:
         assert abs(ev.value - ref) <= ev.err_estimate + ROUNDING * (2.0 + z) * abs(ev.value)
 
     def test_subnormal_weights_give_an_exact_zero(self):
-        ev = cosh_quad(1, 1, 1.0, 710.0, bose)
+        ev = cosh_quad(1, 1, 1.0, 710.0, "bose")
         assert (ev.value, ev.err_estimate, ev.converged, ev.evaluations) == (0.0, 0.0, True, 0)
+
+    @pytest.mark.parametrize("weight", ["exp", "bose"])
+    @pytest.mark.parametrize("z", [1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
+    @pytest.mark.parametrize("shape, j, p", COSH_SHAPES)
+    def test_fused_panels_equal_the_plain_integrand(self, shape, j, p, z, weight):
+        # the fused panel sum must reproduce adaptive_quad over the plain
+        # integrand bit for bit: value, error, evaluations and flag
+        q = math.exp(z / (j + p + 1))
+        scale = q ** (j + p + 1)
+
+        def plain(s):
+            c = math.cosh(s)
+            u = z * c
+            w = math.exp(-u) / -math.expm1(-u) if weight == "bose" else math.exp(-u)
+            return scale * math.sinh(s) ** j * c ** (p + 1) * w
+
+        tol = Tolerance(rel=1e-13, abs=0.0)
+        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
+        ref = adaptive_quad(plain, 0.0, math.acosh(x1 / z), tol)
+        err = ref.err_estimate + _cosh_tail(j, p, q, z, x1)
+        expected = (ref.value, err, ref.evaluations, ref.converged and err <= tol.target(ref.value))
+        ev = cosh_quad(j, p, q, z, weight, tol)
+        assert (ev.value, ev.err_estimate, ev.evaluations, ev.converged) == expected
+        # the integrand itself, for callers that evaluate it pointwise
+        g = _cosh_integrand(j, p + 1, scale, z, weight == "bose")
+        assert [g(s) for s in (0.01, 0.1, 0.5)] == [plain(s) for s in (0.01, 0.1, 0.5)]
+
+    def test_weight_is_named(self):
+        with pytest.raises(ValueError):
+            cosh_quad(1, 1, 1.0, 1.0, math.exp)
 
     def test_margin_meets_its_share_of_rounding(self):
         # Q(m+1, M) = Gamma(m+1, M)/m! = ROUNDING/4 defines the cut
@@ -296,7 +331,16 @@ class TestFiniteDiff:
         h = 0.03
         res = finite_diff(lambda x: x**5, 2.0, h)
         assert res.value - 80.0 == pytest.approx(-(h**4) / 4.0, rel=1e-6)
-        assert res.evaluations == 4 and res.converged and res.method == "finite_difference"
+        assert res.evaluations == 6 and res.converged and res.method == "finite_difference"
+
+    def test_estimate_is_the_error_of_the_returned_value(self):
+        # on x^5 the error is exactly -s^4/4 at step s, so (16/15) of the
+        # difference of the steps h and h/2 is the error itself, not the
+        # error of D(h/2), h^2 f^(3)/24 (4.5e4 times larger here)
+        h = 0.03
+        res = finite_diff(lambda x: x**5, 2.0, h)
+        floor = ROUNDING * 2.03**5 * 3.0 / h
+        assert abs(res.value - 80.0) <= res.err_estimate <= 1.001 * h**4 / 4.0 + floor
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -3.0])
     def test_rounding_dominated_step_is_within_estimate(self, x):

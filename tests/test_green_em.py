@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from casimir.engine import DEFAULT_TOL, Tolerance
+from casimir.engine import DEFAULT_TOL, _EXP_SUBNORMAL, Tolerance
 from casimir.matsubara import CavityConfig, internal_energy_direct
 from casimir.green_em import (
     greens_components,
@@ -12,6 +12,8 @@ from casimir.green_em import (
     em_energy_T0,
     em_energy_T0_polar,
     em_energy_finiteT,
+    _X_LOW,
+    _t0_end_bounds,
 )
 
 PI2_720 = math.pi**2 / 720.0
@@ -102,7 +104,7 @@ class TestEnergyT0:
         for a in (1.0, 2.0):
             for n in (1.0, 2.0, 3.0):
                 w = em_energy_T0(CavityConfig(a=a, T=0.0, n=n), tol)
-                assert w.value == pytest.approx(-PI2_720 / (n * a**3), rel=1e-8)
+                assert w.value == pytest.approx(-PI2_720 / (n * a**3), rel=1e-14)
                 assert abs(w.value + PI2_720 / (n * a**3)) <= w.err_estimate
 
     def test_polar_route_agrees(self):
@@ -111,12 +113,48 @@ class TestEnergyT0:
         assert wp.value == pytest.approx(w.value, rel=1e-9)
         assert wp.value == pytest.approx(-PI2_720, rel=1e-11)
 
-    @pytest.mark.parametrize("tol, ceiling", [(DEFAULT_TOL, 52_000), (Tolerance(rel=1e-11, abs=0.0), 69_000)])
+    @pytest.mark.parametrize("tol, ceiling", [(DEFAULT_TOL, 38_600), (Tolerance(rel=1e-11, abs=0.0), 58_700)])
     def test_evaluation_ceiling(self, tol, ceiling):
-        # 47 370 and 63 510 evaluations: the inner k integral on k = n zeta sinh s
+        # 35 130 and 53 430 evaluations: the inner k integral on k = n zeta
+        # sinh s, the outer one on zeta = e^sigma
         w = em_energy_T0(CFG0, tol)
         assert w.converged
         assert w.evaluations <= ceiling
+
+    def test_evaluations_independent_of_the_cavity(self):
+        # on the log map every (a, n) is the same integral, shifted in sigma
+        counts = {
+            em_energy_T0(CavityConfig(a=a, T=0.0, n=n)).evaluations
+            for a, n in ((1.0, 1.0), (0.7, 2.3), (3.0, 1.05))
+        }
+        assert counts == {35_130}
+
+    def test_end_bounds_against_mpmath_tails(self):
+        # int x^2 (-ln(1 - e^(-x))) dx over the two dropped ends, x = 2 a n zeta,
+        # at 30 digits; 2 a J(zeta) = -ln(1 - e^(-x)) is the closed inner integral
+        low, high = _t0_end_bounds(_X_LOW, _EXP_SUBNORMAL)
+        with mpmath.workdps(30):
+            # -ln(-expm1(-x)) near 0, -log1p(-e^(-x)) where e^(-x) is tiny
+            f_low = lambda x: x * x * -mpmath.log(-mpmath.expm1(-x))
+            f_high = lambda x: x * x * -mpmath.log1p(-mpmath.exp(-x))
+            low_tail = mpmath.quad(f_low, [0, _X_LOW])
+            high_tail = mpmath.quad(f_high, [_EXP_SUBNORMAL, _EXP_SUBNORMAL + 50, mpmath.inf])
+        assert low_tail <= low <= 1.1 * low_tail
+        assert high_tail <= high <= 1.01 * high_tail
+        # both far below the rounding of the value, int_0^inf = 2 zeta(4)
+        assert low + high <= 1e-20 * math.pi**4 / 45
+
+    @pytest.mark.parametrize("a", [1e-100, 1e-20, 1e30])
+    def test_extreme_separations(self, a):
+        # the integrand carries W's prefactor, so it is finite wherever W is
+        w = em_energy_T0(CavityConfig(a=a, T=0.0))
+        closed = -PI2_720 / a / a / a
+        assert w.converged
+        assert abs(w.value - closed) <= w.err_estimate <= 1e-10 * abs(closed)
+
+    def test_overflowing_energy_fails_fast(self):
+        w = em_energy_T0(CavityConfig(a=1e-250, T=0.0))
+        assert not w.converged and w.evaluations < 10_000
 
     def test_negative_definite(self):
         # 1/(kappa d) > 0 pointwise, so the energy is attractive for any (a, n)

@@ -55,6 +55,20 @@ class TestPressure:
             assert p.converged
             assert abs(p.value - ref) <= p.err_estimate
 
+    @pytest.mark.parametrize("D", range(3, 41))
+    def test_closed_error_bound_against_mpmath(self, D):
+        # the rounding count of pressure_closed holds, and sits below the
+        # 1e-14 relative it replaces
+        for a, n in ((1.0, 1.0), (0.7, 1.3), (2.35, 1.6)):
+            p = pressure_closed(HyperConfig(dim=D, a=a, n=n))
+            with mpmath.workdps(40):
+                ref = (
+                    -(D - 2) * (D - 1) * mpmath.gamma(mpmath.mpf(D) / 2) * mpmath.zeta(D)
+                    / ((4 * mpmath.pi) ** (mpmath.mpf(D) / 2) * mpmath.mpf(a) ** D * n)
+                )
+                assert abs(p.value - ref) <= p.err_estimate
+            assert p.err_estimate <= 1e-14 * abs(p.value)
+
     @pytest.mark.parametrize("D", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("n", [1.0, 2.0])
     def test_polar_quadrature_matches_closed(self, D, n):
@@ -158,7 +172,7 @@ class TestDensityProfile:
 
 
 class TestPressureFromDensity:
-    @pytest.mark.parametrize("D", [4, 5, 6])
+    @pytest.mark.parametrize("D", range(3, 13))
     def test_both_routes(self, D):
         cfg = HyperConfig(dim=D)
         ident, fd = pressure_from_w1(cfg)

@@ -61,8 +61,10 @@ CALLS = [
     ["internal-energy", "--T", "0.5", "--n", "1.3", "--format", "json"],
     ["em-energy", "--a", "1", "--n", "1"],
     ["em-energy", "--T", "0", "--a", "0.7", "--n", "2.3"],
+    ["em-energy", "--T", "0", "--a", "3", "--n", "1.05"],
     ["em-energy", "--T", "0.5", "--format", "json"],
     ["pressure", "--D", "4", "--n", "1", "--a", "1"],
+    ["pressure", "--T", "0", "--D", "12", "--format", "json"],
     ["pressure", "--T", "0.3", "--a", "1.2", "--n", "1.4", "--format", "json"],
     ["profile", "--D", "6"],
     ["profile", "--D", "4", "--format", "json"],
