@@ -234,8 +234,10 @@ def pressure_from_w1(cfg: HyperConfig) -> tuple[EnergyValue, EnergyValue]:
     """The two density-route pressures: (D-1) w1 and -d(a w1)/da by
     engine.finite_diff.  Both equal pressure_closed; the first is it."""
 
+    zeta = riemann_zeta(float(cfg.D))
+
     def minus_a_w1(a: float) -> float:
-        return -a * _w1(HyperConfig(dim=cfg.dim, a=a, n=cfg.n))
+        return -a * (_density_scale(HyperConfig(dim=cfg.dim, a=a, n=cfg.n)) * zeta)
 
     # a w1 is a^(1-D) times a constant: at h = 1e-4 a the h^4 truncation
     # (~D^4 h^4 / 480) sits below the rounding floor of finite_diff (~eps/h)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from casimir import hyperdim
+from casimir import checks, hyperdim
 from casimir.cli import main
 from test_hyperdim import mode_reference
 
@@ -319,17 +319,28 @@ class TestDispersiveAndCircuitCommands:
 
 class TestCrosscheck:
     def test_all_suite_passes(self, capsys):
+        # the CLI prints checks.crosscheck(), in both formats: one table, unique names
+        rows = checks.crosscheck()
+        assert rows and all(r["passed"] for r in rows)
+        assert len({r["check"] for r in rows}) == len(rows)
         code, out = run_cli(["crosscheck", "--suite", "all"], capsys)
         assert code == 0
-        rows = parse_csv(out)
-        assert rows and all(r["passed"] == "true" for r in rows)
+        printed = [{**r, "passed": r["passed"] == "true"} for r in parse_csv(out)]
+        for r in printed:
+            r.update((k, float(r[k])) for k in ("lhs", "rhs", "metric", "tol"))
+        assert printed == rows
+        _, out = run_cli(["crosscheck", "--format", "json"], capsys)
+        assert json.loads(out) == rows
         with pytest.raises(SystemExit) as exc:
             main(["crosscheck", "--suite", "fast"])
         assert exc.value.code == 2
 
-    def test_computes_only_the_mode_sums_it_reads(self, capsys, mode_sum_lams):
-        # cutoff_exponent~D reads lambda = 0.1 and 0.05; dispersive_sum(eps=1)=vacuum
-        # reads the vacuum and dispersive sums at lambda = 0.5
+    def test_computes_only_the_mode_sums_it_reads(self, capsys, mode_sum_lams, monkeypatch):
+        # cutoff_exponent~D reads lambda = 0.1 and 0.05; dispersive_sum(omega0->inf)=vacuum/sqrt(eps)
+        # the dispersive sum, which runs photon_index, and the vacuum sum at 2
+        calls, index = [], hyperdim.photon_index
+        monkeypatch.setattr(hyperdim, "photon_index", lambda m, k: calls.append(k) or index(m, k))
         code, _ = run_cli(["crosscheck"], capsys)
         assert code == 0
-        assert mode_sum_lams == [0.1, 0.05, 0.5, 0.5]
+        assert mode_sum_lams == [0.1, 0.05, 2.0, 2.0]
+        assert calls
