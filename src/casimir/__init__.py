@@ -15,7 +15,6 @@ from .matsubara import (
     CavityConfig,
     free_energy,
     free_energy_quad,
-    free_energy_T0,
     free_energy_lowT,
     internal_energy,
     internal_energy_direct,

@@ -73,12 +73,12 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
         check(
             f"W=U@naT={naT:g}",
             green_em.em_energy_finiteT(cfg, tol).value,
-            matsubara.internal_energy_direct(cfg, tol).value,
+            matsubara.internal_energy(cfg, tol).value,
             1e-10,
         )
     cfg0 = CavityConfig(a=1.0, T=0.0)
     w_quad = green_em.em_energy_T0(cfg0, Tolerance(rel=1e-11, abs=0.0)).value
-    check("W_T0_quad=closed", w_quad, matsubara.free_energy_T0(cfg0).value, 1e-8)
+    check("W_T0_quad=closed", w_quad, matsubara.internal_energy(cfg0, tol).value, 1e-8)
     check("W_T0_polar=quad", green_em.em_energy_T0_polar(cfg0, tol).value, w_quad, 1e-8)
     for k_perp, zeta in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.1)):
         p = green_em.spectral_energy_density(k_perp, zeta, cfg0)
@@ -103,11 +103,12 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     check("circuit:LJ2=Cphi2", w_star**2 * spec.L * spec.capacitance(w_star), 1.0, 1e-12)
     r3 = circuit_mod.adiabatic_variation_check(spec, 1e-3)
     r4 = circuit_mod.adiabatic_variation_check(spec, 1e-4)
+    # |ratio - 1| falls tenfold with delta a: the first-order terms cancel
     check(
         "circuit:first_order_adiabatic",
-        abs(r4[0] / r4[1] - 1.0),
+        abs(r4[0] / r4[1] - 1.0) / abs(r3[0] / r3[1] - 1.0),
         0.0,
-        0.12 * abs(r3[0] / r3[1] - 1.0),
+        0.12,
         relative=False,
     )
     for k in (1.0, 5.0, 20.0):
@@ -122,7 +123,7 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     check(
         "w_I(omega0->inf)=static",
         dispersion.w_I_energy(stiff, cfg0, tol).value,
-        matsubara.free_energy_T0(CavityConfig(a=1.0, T=0.0, n=2.0)).value,
+        matsubara.free_energy(CavityConfig(a=1.0, T=0.0, n=2.0), tol).value,
         1e-6,
     )
     soft = LorentzModel(eps_bar=2.0, omega0=0.2)

@@ -2,6 +2,9 @@
 density profile table, and the route cross-check suite, emitted as CSV or
 JSON for offline consumption (no plotting here).
 
+free-energy, internal-energy, em-energy (the field energy W = U) and
+pressure at D = 4 print one casimir.matsubara route each at every T >= 0.
+
 Numbers are printed with 17 significant digits so a double round-trips
 exactly; identical invocations produce byte-identical output.  JSON
 output writes a non-finite number as null (CSV keeps inf/nan), so it is
@@ -30,7 +33,7 @@ import os
 import sys
 
 from .engine import EnergyValue, Tolerance
-from . import matsubara, green_em, dispersion, circuit as circuit_mod, hyperdim, checks
+from . import matsubara, dispersion, circuit as circuit_mod, hyperdim, checks
 from .matsubara import CavityConfig
 from .dispersion import LorentzModel, CutoffSpec
 from .hyperdim import HyperConfig
@@ -73,6 +76,14 @@ _COLUMNS = {
     "dispersive": ("a", "eps_bar", "omega0"),
     "circuit": ("L", "a", "C0", "eps_bar", "omega0", "phi_sq"),
     "cutoff-sum": ("a", "n", "D", "cutoff_lambda"),
+}
+
+
+_CAVITY_ROUTES = {
+    "free-energy": matsubara.free_energy,
+    "internal-energy": matsubara.internal_energy,
+    "em-energy": matsubara.internal_energy,
+    "pressure": matsubara.pressure,
 }
 
 
@@ -126,23 +137,14 @@ def _lorentz(params) -> LorentzModel:
 
 def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
     """Rows for one parameter point of any command but crosscheck."""
-    if command in ("free-energy", "internal-energy", "em-energy", "pressure"):
+    if command in _CAVITY_ROUTES:
         cfg = CavityConfig(a=params["a"], T=params["T"], n=params["n"])
-    if command == "free-energy":
-        ev = matsubara.free_energy_T0(cfg) if cfg.T == 0 else matsubara.free_energy(cfg, tol)
-        return [_energy_row(_COLUMNS[command], params, ev)]
-    if command == "internal-energy":
-        return [_energy_row(_COLUMNS[command], params, matsubara.internal_energy(cfg, tol))]
-    if command == "em-energy":
-        ev = green_em.em_energy_T0(cfg, tol) if cfg.T == 0 else green_em.em_energy_finiteT(cfg, tol)
-        return [_energy_row(_COLUMNS[command], params, ev)]
-    if command == "pressure":
-        if params["T"] == 0:
+        if command == "pressure" and params["D"] != 4:
+            if cfg.T > 0:
+                raise UsageError("finite-temperature pressure is only available at D = 4")
             ev = hyperdim.pressure_closed(HyperConfig(dim=params["D"], a=params["a"], n=params["n"]))
-        elif params["D"] == 4:
-            ev = matsubara.pressure(cfg, tol)
         else:
-            raise UsageError("finite-temperature pressure is only available at D = 4")
+            ev = _CAVITY_ROUTES[command](cfg, tol)
         return [_energy_row(_COLUMNS[command], params, ev)]
     if command == "dispersive":
         model = _lorentz(params)

@@ -416,33 +416,44 @@ def sum_series(
     eventually monotone decreasing; the error estimate is the remainder
     bound |t| r/(1-r) built from the last term and the observed decay
     ratio r (falling back to |t| when the ratio is not contractive), plus
-    the rounding floor ROUNDING * sum |terms| of the partial sum itself
-    and the underflow floor UNDERFLOW per summed term.  Neither the values
-    nor the stopping rule depend on the floors.
+    the rounding floor ROUNDING * sum |terms|, for the rounding of the
+    terms themselves, and the underflow floor UNDERFLOW per summed term.
+    Neither the values nor the stopping rule depend on the floors.  The
+    running sum carries Neumaier's compensation term (Z. Angew. Math.
+    Mech. 54, 39 (1974)), so its own rounding stays near one ulp of the
+    sum however many terms it takes; a plain running sum can lose m ulps
+    of sum |terms| in m terms, past the floor.
     """
-    partial = magnitude = 0.0
+    partial = comp = magnitude = 0.0
     streak = 0
     last = prev = 0.0
     m = start
+    converged = False
     for _ in range(tol.max_iter):
         t = term(m)
         if t != t:
             raise ValueError(f"series term returned NaN at m={m}")
-        partial += t
-        magnitude += abs(t)
-        prev, last = last, abs(t)
+        at = abs(t)
+        s = partial + t
+        # the bits of the smaller addend that s lost, exactly
+        comp += (partial - s) + t if abs(partial) >= at else (t - s) + partial
+        partial = s
+        magnitude += at
+        prev, last = last, at
+        m += 1
         # an exactly-zero term (underflowed tail) is below any tolerance
         if last < tol.abs and (last == 0.0 or last < tol.rel * abs(partial)):
             streak += 1
             if streak >= 3:
-                count = m - start + 1
-                err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * count
-                return EnergyValue(partial, err, "direct_sum", err <= tol.target(partial), count)
+                converged = True
+                break
         else:
             streak = 0
-        m += 1
-    err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * (m - start)
-    return EnergyValue(partial, err, "direct_sum", False, m - start)
+    count = m - start
+    # an overflowed sum stays infinite, where inf - inf would make comp NaN
+    value = partial + comp if math.isfinite(partial) else partial
+    err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * count
+    return EnergyValue(value, err, "direct_sum", converged and err <= tol.target(value), count)
 
 
 def _tail_bound(last: float, prev: float) -> float:

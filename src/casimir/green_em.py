@@ -40,9 +40,10 @@ with finite-temperature version
     W(T) = -4 pi n^2 T^3 sum_{m>=1} m^2 int_{alpha m}^inf dz/(e^z - 1),
     alpha = 4 pi n a T,
 
-whose inner integral has the closed form -ln(1 - e^(-alpha m)).  The
-crosscheck compares this sum with the independent internal-energy series
-of casimir.matsubara (W = U).
+whose inner integral has the closed form -ln(1 - e^(-alpha m)).  Since
+W = U at every T, the energies here are check routes: casimir em-energy
+prints casimir.matsubara.internal_energy, and the crosscheck holds
+em_energy_finiteT and the T = 0 quadratures against it.
 
 em_energy_T0 runs the inner k integral of W(T=0) on engine.cosh_quad
 (j = 1, p = -1, the Bose weight): with q = n zeta, z = 2 a q and
@@ -183,12 +184,13 @@ def _t0_end_bounds(x0: float, x1: float) -> tuple[float, float]:
 
 def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Zero-temperature energy per unit area by nested adaptive
-    quadrature over (zeta, k_perp): the independent check, at constant
-    eps, of the closed k integral that casimir.dispersion relies on.  The
-    inner k integral runs on the map k = n zeta sinh s up to the cut of
-    engine.cosh_quad, whose tail bound is part of each inner error.  The
-    outer integral runs on zeta = e^sigma, over 2 a n zeta in (1e-7, 708.3);
-    closed bounds on the two dropped ends join the error estimate."""
+    quadrature over (zeta, k_perp), a check route of W(0) = U(0) and the
+    independent check, at constant eps, of the closed k integral that
+    casimir.dispersion relies on.  The inner k integral runs on the map
+    k = n zeta sinh s up to the cut of engine.cosh_quad, whose tail bound
+    is part of each inner error.  The outer integral runs on
+    zeta = e^sigma, over 2 a n zeta in (1e-7, 708.3); closed bounds on the
+    two dropped ends join the error estimate."""
     if cfg.T != 0:
         raise ValueError("em_energy_T0 requires T = 0 in the config")
     n2 = cfg.n**2
@@ -240,7 +242,10 @@ def em_energy_T0_polar(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> Energ
 
 def em_energy_finiteT(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Finite-temperature energy per unit area, with the per-mode integral
-    in closed form: int_x^inf dz/(e^z - 1) = -ln(1 - e^(-x))."""
+    in closed form: int_x^inf dz/(e^z - 1) = -ln(1 - e^(-x)); a check
+    route of W = U.  Its term count grows like 1/naT (about 43 000 at
+    naT = 1e-4), so the default tol.max_iter of 10^6 ends it, flagged,
+    below naT of a few 1e-6."""
     if not cfg.T > 0:
         raise ValueError("em_energy_finiteT requires T > 0")
     alpha = 4.0 * math.pi * cfg.naT

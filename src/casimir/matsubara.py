@@ -31,11 +31,11 @@ underflow floor; past a term whose e^(-2ju) underflows, a bound on the
 rest, which U multiplies by its prefactor in logs (at huge T an exact 0
 is not charged 4 ulp(0) times T^2 u).  F, P and U all read this kernel,
 so no production route needs quadrature or extended precision.  Below
-T0_LIMIT_NAT, where S'(u) ~ u^-2 would leave the double range, U and P
-are their T = 0 closed forms, which they equal there to rounding.
-Every route returns the engine's EnergyValue (re-exported here with
-METHOD_TAGS), whose evaluations count the engine work behind it: 0 for
-the kernel and the closed forms.
+T0_LIMIT_NAT, T = 0 included, where S'(u) ~ u^-2 would leave the double
+range, F, U and P are their T = 0 closed forms, equal to them there to
+rounding.  Every route returns the engine's EnergyValue (re-exported
+here with METHOD_TAGS), whose evaluations count the engine work behind
+it: 0 for the kernel and the closed forms.
 
 Each production quantity keeps independent check routes (casimir
 crosscheck).  For F and P they are the per-term quadrature of I (and,
@@ -89,7 +89,6 @@ __all__ = [
     "METHOD_TAGS",
     "free_energy",
     "free_energy_quad",
-    "free_energy_T0",
     "free_energy_lowT",
     "internal_energy",
     "internal_energy_direct",
@@ -105,8 +104,8 @@ __all__ = [
 # sums of the S kernel behind F, U and P.
 ROUTE_SPLIT_NAT = 0.3
 
-# Below this naT the thermal parts of U and P, at most 28 (naT)^3 of
-# their T = 0 values, are below rounding, so both return the T = 0
+# Below this naT the thermal parts of F, U and P, at most 28 (naT)^3 of
+# their T = 0 values, are below rounding, so all three return the T = 0
 # closed forms.  The kernel's S'(u) ~ -pi^4/(45 u^2) and U's prefactor
 # T^2 leave the double range near naT = 1e-154 (a = n = 1).
 T0_LIMIT_NAT = 1e-6
@@ -275,23 +274,25 @@ def _thermal_kernel(cfg: CavityConfig, tol: Tolerance) -> _Kernel:
     return _kernel_dual(u, tol.max_iter)
 
 
-def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Free energy per unit area, F = -T/(8 pi a^2) S(u); T > 0.
+def _closed_form_T0(cfg: CavityConfig, c: float, k: int) -> EnergyValue:
+    """-pi^2/(c n a^k), the T = 0 limit of F (c = 720, k = 3) and of P
+    (c = 240, k = 4).  Its error estimate counts roundings, first order in
+    u = eps/2: the representation error of math.pi (3.9e-17 < 0.36 u)
+    twice in pi**2, and its rounding; c n, a**k (pow, within 1 ulp: 2 u),
+    their product and the quotient round once each: 6.7 u in all."""
+    value = -math.pi**2 / (c * cfg.n * cfg.a**k)
+    return EnergyValue(value, 6.7 * 0.5 * sys.float_info.epsilon * abs(value), "closed_form")
 
-    The T = 0 limit is served exactly by free_energy_T0.
-    """
-    if not cfg.T > 0:
-        raise ValueError("free_energy requires T > 0; use free_energy_T0 at T = 0")
+
+def free_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Free energy per unit area, F = -T/(8 pi a^2) S(u); below
+    T0_LIMIT_NAT, T = 0 included, the closed form F(0) = -pi^2/(720 n a^3)."""
+    if cfg.naT < T0_LIMIT_NAT:
+        return _closed_form_T0(cfg, 720.0, 3)
     k = _thermal_kernel(cfg, tol)
     pref = cfg.T / (8.0 * math.pi * cfg.a**2)
     value = -pref * k.s
     return EnergyValue(value, pref * k.err_s + ROUNDING * abs(value), k.method, k.converged)
-
-
-def free_energy_T0(cfg: CavityConfig) -> EnergyValue:
-    """Zero-temperature free energy -pi^2/(720 n a^3), exact closed form."""
-    value = -math.pi**2 / (720.0 * cfg.n * cfg.a**3)
-    return EnergyValue(value, abs(value) * 1e-15, "closed_form")
 
 
 def _stable_coth_over_sinh2(x: float) -> float:
@@ -464,12 +465,11 @@ def internal_energy_from_F(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
 
 
 def internal_energy(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Internal energy U = u T S'(u)/(8 pi a^2) = n T^2 S'(u)/(4a) at
-    T > 0, from the kernel of free_energy and pressure; below
-    T0_LIMIT_NAT, T = 0 included, the closed form U(0) = F(0) of
-    free_energy_T0."""
+    """Internal energy U = u T S'(u)/(8 pi a^2) = n T^2 S'(u)/(4a), from
+    the kernel of free_energy and pressure; below T0_LIMIT_NAT, T = 0
+    included, the closed form U(0) = F(0) of free_energy."""
     if cfg.naT < T0_LIMIT_NAT:
-        return free_energy_T0(cfg)
+        return free_energy(cfg, tol)
     pref = cfg.n * cfg.T**2 / (4.0 * cfg.a)  # T**2 raises OverflowError, not inf * 0
     k = _thermal_kernel(cfg, tol)
     u = 2.0 * math.pi * cfg.naT
@@ -528,12 +528,11 @@ def internal_energy_highT_asymptote(cfg: CavityConfig) -> EnergyValue:
 
 
 def pressure(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
-    """Pressure P = -dF/da = -T/(8 pi a^3) (2S - u S') at T > 0 (both
-    parts have the sign of P, so nothing cancels); below T0_LIMIT_NAT,
-    T = 0 included, the closed form -pi^2/(240 n a^4)."""
+    """Pressure P = -dF/da = -T/(8 pi a^3) (2S - u S') (both parts have
+    the sign of P, so nothing cancels); below T0_LIMIT_NAT, T = 0
+    included, the closed form -pi^2/(240 n a^4)."""
     if cfg.naT < T0_LIMIT_NAT:
-        value = -math.pi**2 / (240.0 * cfg.n * cfg.a**4)
-        return EnergyValue(value, abs(value) * 1e-15, "closed_form")
+        return _closed_form_T0(cfg, 240.0, 4)
     k = _thermal_kernel(cfg, tol)
     u = 2.0 * math.pi * cfg.naT
     pref = cfg.T / (8.0 * math.pi * cfg.a**3)

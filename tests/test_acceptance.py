@@ -185,12 +185,12 @@ def test_criterion_10_pressure_density_relation(xc):
 
 
 def test_criterion_11_circuit_cancellation(xc):
-    # the row's lhs is |ratio - 1| at delta a = 1e-4, its tol 0.12 |ratio - 1| at 1e-3
-    dev4, bound = (xc["circuit:first_order_adiabatic"][k] for k in ("lhs", "tol"))
+    # the row's lhs is |ratio - 1| at delta a = 1e-4 over |ratio - 1| at 1e-3
+    shrink = xc["circuit:first_order_adiabatic"]["lhs"]
     ok_identity = abs(xc["circuit:LJ2=Cphi2"]["lhs"] - 1.0) <= 1e-12
-    ok = dev4 <= bound and ok_identity
+    ok = shrink <= 0.12 and ok_identity
     assert report(
-        11, ok, f"|ratio-1|: {bound / 0.12:.2e} -> {dev4:.2e} (<=0.12x); LJ^2=C phi^2 residual ok: {ok_identity}"
+        11, ok, f"|ratio-1| shrinks {shrink:.3f}x from delta a = 1e-3 to 1e-4 (<=0.12x); LJ^2=C phi^2 residual ok: {ok_identity}"
     )
 
 

@@ -87,5 +87,5 @@ def test_evaluations_sum_every_engine_result(route, monkeypatch):
 def test_closed_forms_and_kernel_spend_no_evaluations():
     cfg = CavityConfig(a=1.0, T=1.0)
     for ev in (matsubara.free_energy(cfg), matsubara.internal_energy(cfg), matsubara.pressure(cfg),
-               matsubara.free_energy_T0(cfg), hyperdim.pressure_closed(hyperdim.HyperConfig(dim=5))):
+               matsubara.free_energy(CavityConfig(a=1.0, T=0.0)), hyperdim.pressure_closed(hyperdim.HyperConfig(dim=5))):
         assert ev.evaluations == 0

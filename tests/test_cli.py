@@ -56,6 +56,23 @@ class TestSingleRuns:
             -math.pi**2 / 720.0, rel=1e-8
         )
 
+    @pytest.mark.parametrize("T", ["0", "1e-200", "1e-8", "0.5"])
+    def test_em_energy_prints_internal_energy(self, capsys, T):
+        # W = U at every T: em-energy prints the kernel's U, the closed
+        # form below naT = 1e-6
+        code, em = run_cli(["em-energy", "--T", T], capsys)
+        assert code == 0
+        assert em == run_cli(["internal-energy", "--T", T], capsys)[1]
+        row = parse_csv(em)[0]
+        if float(T) < 1e-6:
+            assert row["method"] == "closed_form"
+            assert abs(float(row["value"]) + math.pi**2 / 720.0) <= float(row["err_estimate"])
+
+    def test_pressure_T0_limit_is_one_double(self, capsys):
+        # T = 0 and T = 1e-200 both print the D = 4 closed form of matsubara.pressure
+        zero, tiny = (parse_csv(run_cli(["pressure", "--T", T], capsys)[1])[0] for T in ("0", "1e-200"))
+        assert (zero["value"], zero["method"]) == (tiny["value"], tiny["method"])
+
     def test_seventeen_digit_round_trip(self, capsys):
         _, out = run_cli(["internal-energy", "--T", "1"], capsys)
         text = parse_csv(out)[0]["value"]

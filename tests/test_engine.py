@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -303,14 +304,22 @@ class TestSumSeries:
         assert not res.converged
 
     def test_rounding_floor(self):
-        # 0.1 + 0.2 - 0.3 rounds to 5.55e-17, not 0; every later term is an
-        # exact 0, so the tail bound is 0 and only the floor covers it
+        # a plain running sum of 0.1 + 0.2 - 0.3 rounds to 5.55e-17; the
+        # compensated sum is the exact sum of the three doubles, 2.78e-17.
+        # Every later term is an exact 0, so the tail bound is 0 and only
+        # the floor covers the rounding of the terms themselves
         terms = (0.1, 0.2, -0.3)
         res = sum_series(lambda m: terms[m - 1] if m <= 3 else 0.0, 1)
-        assert res.value == 0.1 + 0.2 - 0.3  # the value is the plain sum
+        assert res.value == 2.7755575615628914e-17
+        assert res.value == float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3))
         assert res.evaluations == 6 and res.converged and res.method == "direct_sum"
         assert res.err_estimate == ROUNDING * (0.1 + 0.2 + 0.3)
         assert abs(res.value) <= res.err_estimate
+
+    def test_overflowed_sum_stays_infinite(self):
+        # the compensation term of inf - inf is NaN; the value stays inf
+        res = sum_series(lambda m: 1e308, 1, Tolerance(max_iter=3))
+        assert res.value == math.inf and not res.converged
 
     def test_converged_error_bound_invariant(self):
         tol = Tolerance()

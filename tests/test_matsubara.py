@@ -16,7 +16,6 @@ from casimir.matsubara import (
     EnergyValue,
     free_energy,
     free_energy_quad,
-    free_energy_T0,
     free_energy_lowT,
     internal_energy,
     internal_energy_direct,
@@ -168,9 +167,15 @@ class TestFreeEnergy:
         assert low.value == pytest.approx(F_LOWT_01_2, rel=1e-13)
         assert f.value == pytest.approx(low.value, rel=1e-5)
 
-    def test_requires_positive_temperature(self):
-        with pytest.raises(ValueError):
-            free_energy(cavity(0.0))
+    def test_closed_form_below_T0_limit(self):
+        # below T0_LIMIT_NAT = 1e-6, T = 0 included, F, U and P are their
+        # closed forms, U = F field for field; from naT = 1e-6 up the kernel
+        for route in (free_energy, internal_energy, pressure):
+            for T in (0.0, 1e-200, 9.9e-7):
+                assert route(cavity(T)).method == "closed_form"
+            assert route(cavity(1e-6)).method == "poisson_resummed"
+        for T in (0.0, 1e-200, 9.9e-7):
+            assert free_energy(cavity(T)) == internal_energy(cavity(T))
 
     @pytest.mark.parametrize("naT, a, n", NAT_GRID)
     def test_within_err_estimate_of_mpmath(self, naT, a, n):
@@ -189,8 +194,8 @@ class TestFreeEnergy:
             assert abs(q.value - k.value) <= q.err_estimate + k.err_estimate
 
     def test_T0_closed_form(self):
-        assert free_energy_T0(cavity(0.0)).value == pytest.approx(-PI2_720, rel=1e-14)
-        assert free_energy_T0(cavity(0.0, n=2.0)).value == pytest.approx(
+        assert free_energy(cavity(0.0)).value == pytest.approx(-PI2_720, rel=1e-14)
+        assert free_energy(cavity(0.0, n=2.0)).value == pytest.approx(
             -PI2_720 / 2.0, rel=1e-14
         )
 
@@ -340,8 +345,20 @@ class TestInternalEnergyRoutes:
             assert u.converged
             assert abs(u.value - internal_energy_mp(1.0, naT, 1.0)) <= u.err_estimate, naT
 
+    @pytest.mark.parametrize("naT", [1e-4, 1e-3])
+    @pytest.mark.parametrize("route", [internal_energy_direct, em_energy_finiteT])
+    def test_long_sums_within_err_estimate(self, route, naT):
+        # 2 000 to 43 000 terms: the compensated sum keeps its rounding
+        # inside the floor; the low-T law is exact here to e^(-pi/naT)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(naT)
+            ref = -(mpmath.pi**2) / 720 * (1 - 720 * (x / mpmath.pi) ** 3 * mpmath.zeta(3) + 48 * x**4)
+            u = route(cavity(naT))
+            assert u.converged
+            assert abs(u.value - ref) <= u.err_estimate
+
     def test_T0_is_the_closed_form(self):
-        assert internal_energy(cavity(0.0)) == free_energy_T0(cavity(0.0))
+        assert internal_energy(cavity(0.0)) == free_energy(cavity(0.0))
 
     def test_no_extended_precision_on_production_routes(self):
         code = (
@@ -457,6 +474,19 @@ class TestClosedForms:
         assert dev == pytest.approx(4.5 * math.exp(-4 * math.pi), rel=1e-3)
         assert dev <= 5.0 * math.exp(-4 * math.pi)
         assert abs(u.value - asym.value) <= asym.err_estimate
+
+
+    @pytest.mark.parametrize("a", [1e-3, 0.013, 0.7, 1.0, 2.35, 47.0, 1e3])
+    def test_T0_error_bars_are_rounding_counts(self, a):
+        # F(0) = -pi^2/(720 n a^3) and P(0) = -pi^2/(240 n a^4) against 30
+        # digits: the rounding count holds, below the 1e-15 relative it replaced
+        for n in (1.0, 1.3, 1.77, 2.5, 3.0):
+            for route, c, k in ((free_energy, 720, 3), (pressure, 240, 4)):
+                r = route(cavity(0.0, n=n, a=a))
+                with mpmath.workdps(30):
+                    ref = -(mpmath.pi**2) / (c * mpmath.mpf(n) * mpmath.mpf(a) ** k)
+                    assert abs(r.value - ref) <= r.err_estimate
+                assert r.err_estimate <= 1e-15 * abs(r.value)
 
 
 class TestExpansionProperties:

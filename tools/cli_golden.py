@@ -63,6 +63,9 @@ CALLS = [
     ["em-energy", "--T", "0", "--a", "0.7", "--n", "2.3"],
     ["em-energy", "--T", "0", "--a", "3", "--n", "1.05"],
     ["em-energy", "--T", "0.5", "--format", "json"],
+    # W = U where the direct W sum would need 10^7 terms or more: the T -> 0 limit
+    ["em-energy", "--T", "1e-200"],
+    ["em-energy", "--T", "1e-8", "--format", "json"],
     ["pressure", "--D", "4", "--n", "1", "--a", "1"],
     ["pressure", "--T", "0", "--D", "12", "--format", "json"],
     ["pressure", "--T", "0.3", "--a", "1.2", "--n", "1.4", "--format", "json"],
