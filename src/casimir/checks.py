@@ -91,6 +91,13 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
             hyperdim.pressure_closed(hcfg).value,
             1e-8,
         )
+    # the D = 4 cavity's pressure at T = 0 against the D-dimensional closed form
+    check(
+        "P_T0=P_closed@D=4",
+        matsubara.pressure(cfg0, tol).value,
+        hyperdim.pressure_closed(HyperConfig(dim=4)).value,
+        1e-12,
+    )
     for D in (4, 5, 6):
         hcfg = HyperConfig(dim=D)
         ident, fd = hyperdim.pressure_from_w1(hcfg)
@@ -135,6 +142,16 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
         0.0,
         relative=False,
     )
+    # the regulated mode sum, summed over modes under one integral, against
+    # one integral per mode summed by sum_series
+    for D in (4, 5, 8):
+        hcfg = HyperConfig(dim=D)
+        check(
+            f"mode_energy=per_mode_sum@D={D}",
+            hyperdim.mode_energy(hcfg, 0.5, tol).value,
+            hyperdim._mode_energy_per_mode(hcfg, 0.5, tol).value,
+            1e-12,
+        )
     hcfg4 = HyperConfig(dim=4)
     e1, e2 = (hyperdim.mode_energy(hcfg4, lam, tol).value for lam in (0.1, 0.05))
     check("cutoff_exponent~D", math.log2(e2 / e1), 4.0, 0.2 * 4.0, relative=False)

@@ -17,15 +17,21 @@ Gauss-Legendre rule on each panel (interior nodes only, so endpoint
 singularities of integrable type are never sampled).
 
 The constant-index integrals of the package, int_0^inf k^j E^p w(z E/q) dk
-with E = sqrt(k^2 + q^2) and one of two named weights, e^(-u) or
-1/(e^u - 1), run instead on the map k = q sinh s (cosh_quad), where the
-weight decays double-exponentially in s (Takahasi & Mori, Publ. RIMS 9, 721
-(1974)).  The s range ends where a closed bound shows the dropped tail is
-below rounding; that bound is part of the error estimate.  Their integrand
-reaches adaptive_quad with its own panel sum, one function that evaluates
-the map, both powers and the weight inline at the 15 nodes, in the same
-order of operations as the generic rule, so every bit is the same at about
-four fifths of the cost per node.
+with E = sqrt(k^2 + q^2) and the weight e^(-u) or one of the polylogarithms
+Li_(-k)(e^(-u)) = sum_n n^k e^(-n u) (k = 0 the Bose weight 1/(e^u - 1),
+k = j + p + 1 a whole regulated mode sum), run instead on the map
+k = q sinh s (cosh_quad), where the weight decays double-exponentially in
+s (Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The s range ends where a
+closed bound shows the dropped tail is below rounding; that bound, and a
+count of the roundings at each node, are part of the error estimate.
+Their integrand reaches adaptive_quad with its own panel sum, one function
+that evaluates the map, both powers and the weight inline at the 15 nodes,
+in the same order of operations as the generic rule, so every bit is the
+same at about four fifths of the cost per node.
+
+Float sums are plain left-to-right loops, never the builtin sum(), which
+is compensated from Python 3.12 on: the last bits, and the CLI's bytes,
+are then the same on every interpreter.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ class EnergyValue:
     produced it (one of METHOD_TAGS), a convergence flag and the number of
     integrand or term evaluations spent.  A non-finite value or
     err_estimate is never converged; a converged engine result has
-    err_estimate <= max(rel*|value|, abs) for its tolerance."""
+    err_estimate <= max(rel*|value|, abs) for its tolerance, apart from
+    cosh_quad's rounding floor, which no refinement lowers."""
 
     value: float
     err_estimate: float
@@ -284,11 +291,48 @@ def _log_upper_gamma(n: int, y: float) -> tuple[float, float, float]:
     return n * math.log(y), math.log(total), -y
 
 
-def _cosh_tail(j: int, p: int, q: float, z: float, x1: float) -> float:
+def _eulerian(k: int) -> tuple[float, ...]:
+    # Coefficients of the Eulerian polynomial A_k, with Li_(-k)(y) =
+    # sum_m m^k y^m = y A_k(y)/(1 - y)^(k+1) (A_0 = A_1 = 1), from
+    # A(n, i) = (i + 1) A(n-1, i) + (n - i) A(n-1, i-1) in exact integers.
+    # They are palindromic, so Horner's rule may start at either end, and
+    # sum to k!; float() raises OverflowError once one of them leaves the
+    # double range (k >= 172).
+    row = [1]
+    for n in range(2, k + 1):
+        row = [
+            (i + 1) * (row[i] if i < n - 1 else 0) + (n - i) * (row[i - 1] if i else 0)
+            for i in range(n)
+        ]
+    return tuple(float(c) for c in row)
+
+
+def _horner(coefs: tuple[float, ...], y: float) -> float:
+    total = 0.0
+    for c in coefs:
+        total = total * y + c
+    return total
+
+
+def _left_sum(values) -> float:
+    # Plain left-to-right float sum.  The builtin sum() of floats is
+    # compensated from Python 3.12 on, so its last bits depend on the
+    # interpreter; this loop rounds the same on every version.
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _cosh_tail(
+    j: int, p: int, q: float, z: float, x1: float, k: int, coefs: tuple[float, ...]
+) -> float:
     # Bound on q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
-    # m = j + p, x1 = z cosh s1.  With c = cosh s (dc = sinh s ds) the
-    # tail is q^(m+1) int_(c1)^inf sinh^(j-1) c^(p+1) w(z c) dc, and
-    # w(u) <= K e^(-u) for u >= x1, K = 1/(1 - e^(-x1)).  At j = 0,
+    # m = j + p, x1 = z cosh s1, for w(u) = e^(-u) and Li_(-k)(e^(-u)).
+    # With c = cosh s (dc = sinh s ds) the tail is
+    # q^(m+1) int_(c1)^inf sinh^(j-1) c^(p+1) w(z c) dc, and w(u) <= K e^(-u)
+    # for u >= x1, K = A_k(y1)/(1 - y1)^(k+1), y1 = e^(-x1), coefs those of
+    # A_k (k = 0 for e^(-u) too, where K = 1/(1 - y1) > 1).  At j = 0,
     # 1/sinh s <= coth(s1)/c gives q^(m+1) K coth(s1) Gamma(m+1, x1)/z^(m+1).
     # At j >= 1, ln(c^2 - 1) is concave, so sinh^(j-1) s lies below its
     # tangent at c1, sinh^(j-1)(s1) e^(b (c - c1)) with b = (j-1) c1/sinh^2 s1;
@@ -320,12 +364,33 @@ def _cosh_tail(j: int, p: int, q: float, z: float, x1: float) -> float:
             -(p + 2) * math.log(beta),
             *_log_upper_gamma(p + 1, beta * x1 / z),
         )
-    terms += (-math.log(-math.expm1(-x1)),)
-    log_bound = sum(terms) + ROUNDING * sum(map(abs, terms))
+    log_k = -(k + 1) * math.log(-math.expm1(-x1))
+    if k:
+        log_k += math.log(_horner(coefs, math.exp(-x1)))
+    log_bound = magnitude = 0.0  # left to right, as _left_sum
+    for t in terms + (log_k,):
+        log_bound += t
+        magnitude += abs(t)
+    log_bound += ROUNDING * magnitude
     try:
         return math.exp(log_bound)
     except OverflowError:
         return math.inf
+
+
+def _cosh_rounding(j: int, p: int, k: int, z: float, evaluations: int) -> float:
+    # Rounding of cosh_quad's sum relative to its value, in eps, each libm
+    # call within 1 ulp and each operation within half of one.  At a node:
+    # sinh^j s and cosh^(p+1) s carry j + 1 and p + 2, scale and the three
+    # products 2.5, the weight at most 2k + 4 (exp, expm1, k - 1 Horner
+    # steps, the power k + 1 of 1 - y, a product and a quotient).  The
+    # 15-node panel sum carries 8 and adaptive_quad's running total 1.5 per
+    # split, 60 evaluations.  The rounding of u = z cosh s, 1.5 eps relative,
+    # moves ln w by |d ln w/d ln u| = u <n> (<n> the mean of n under
+    # n^k e^(-n u)), at most u + k + 1, and u averages at most z + m + 1
+    # over the integrand (a log-concave Gamma(m + 1) law cut at z).
+    per_node = j + p + 2 * k + 17.5 + 1.5 * (z + j + p + k + 2)
+    return sys.float_info.epsilon * (per_node + evaluations / 40.0)
 
 
 def cosh_quad(
@@ -333,7 +398,7 @@ def cosh_quad(
     p: int,
     q: float,
     z: float,
-    weight: str,
+    weight: str | int,
     tol: Tolerance = DEFAULT_TOL,
 ) -> EnergyValue:
     """int_0^inf k^j E^p w(z E/q) dk, E = sqrt(k^2 + q^2), on k = q sinh s:
@@ -341,51 +406,89 @@ def cosh_quad(
         q^(j+p+1) int_0^s1 sinh^j s cosh^(p+1) s w(z cosh s) ds.
 
     j >= 0 and j + p >= 0 are integers, q > 0 and z > 0; weight names w:
-    "exp" for e^(-u) or "bose" for 1/(e^u - 1), computed as
-    e^(-u)/(-expm1(-u)) so that it underflows to 0 instead of overflowing.
+    "exp" for e^(-u), or an integer k >= 0 for the polylogarithm
+    Li_(-k)(e^(-u)) = sum_(n>=1) n^k e^(-n u) = y A_k(y)/(1 - y)^(k+1),
+    y = e^(-u), A_k the Eulerian polynomial; "bose" is k = 0, the Bose
+    weight 1/(e^u - 1), computed as e^(-u)/(-expm1(-u)) so that it
+    underflows to 0 instead of overflowing.  With q = pi/a, z = lambda q
+    and k = j + p + 1, the integral is the whole regulated mode sum over
+    n of the e^(-u) integrals at q n, z n.
+
     The range ends at x1 = z cosh s1 = min(z + M, 745.2), where M depends on
     j + p only and makes the bound on the dropped tail (see _cosh_tail) at
-    most a quarter of ROUNDING times the value.  Past 745.2, e^(-u)
-    underflows, so for z near 700 the bound there can exceed that share (at
-    j >= 8, z = 700 the true tail does).  The bound is added to the error
-    estimate, and converged requires the sum to meet tol.  For z > 708.3
-    every value of w is subnormal, no relative tolerance can be met, and
-    the integral is returned as an exact 0, e^(-708) below its sum.
+    most a quarter of ROUNDING times the value with w = e^(-u), which the
+    weights Li_(-k) only raise.  Past 745.2, e^(-u) underflows, so for z
+    near 700 the bound there can exceed that share (at j >= 8, z = 700 the
+    true tail does).  The error estimate adds to adaptive_quad's the tail
+    bound and a counted rounding floor (_cosh_rounding:
+    (2.5 (j + p) + 3.5 k + 1.5 z + 20.5) eps relative, and eps/40 per
+    evaluation); converged requires adaptive_quad's estimate and the tail
+    bound to meet tol, since no refinement lowers the floor.  For z > 708.3
+    every value of w is subnormal, no relative tolerance can be met, and the
+    integral is returned as an exact 0, e^(-708) below its sum.  A sum that
+    overflows raises OverflowError, as does a weight order whose Eulerian
+    coefficients leave the double range.
 
     The integrand enters adaptive_quad with its own fused panel sum: map,
     powers and weight inline at each of the 15 nodes, in the order of the
     plain integrand, so that every bit equals adaptive_quad over it.
     """
-    if weight not in ("exp", "bose"):
-        raise ValueError(f"unknown weight {weight!r}, need 'exp' or 'bose'")
+    if weight == "bose":
+        k = 0
+    elif weight == "exp":
+        k = None
+    elif isinstance(weight, int) and not isinstance(weight, bool) and weight >= 0:
+        k = weight
+    else:
+        raise ValueError(f"unknown weight {weight!r}, need 'exp', 'bose' or an integer k >= 0")
     if z > _EXP_SUBNORMAL:
         return EnergyValue(0.0, 0.0, "quadrature", True, 0)
     x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
     s1 = math.acosh(x1 / z)
-    g = _cosh_integrand(j, p + 1, q ** (j + p + 1), z, weight == "bose")
+    coefs = _eulerian(k) if k else ()
+    g = _cosh_integrand(j, p + 1, q ** (j + p + 1), z, k, coefs)
     res = adaptive_quad(g, 0.0, s1, tol)
-    err = res.err_estimate + _cosh_tail(j, p, q, z, x1)
+    if not math.isfinite(res.value):
+        raise OverflowError(f"cosh_quad sum out of range (j={j}, p={p}, z={z!r}, weight={weight!r})")
+    order = k or 0  # the tail and the floor of e^(-u) are those of k = 0
+    err = res.err_estimate + _cosh_tail(j, p, q, z, x1, order, coefs)
     converged = res.converged and err <= tol.target(res.value)
+    err += _cosh_rounding(j, p, order, z, res.evaluations) * abs(res.value)
     return EnergyValue(res.value, err, "quadrature", converged, res.evaluations)
 
 
-def _cosh_integrand(j: int, power: int, scale: float, z: float, is_bose: bool):
-    # scale sinh^j s cosh^power s w(z cosh s), with its 15-point panel sum
-    # as the attribute gl15: the rule of _gl15, one Python call per panel
-    # instead of two per node
+def _cosh_integrand(
+    j: int, power: int, scale: float, z: float, k: int | None, coefs: tuple[float, ...]
+):
+    # scale sinh^j s cosh^power s w(z cosh s), w = e^(-u) for k None and
+    # Li_(-k)(e^(-u)) otherwise, coefs those of A_k (k >= 1), with its
+    # 15-point panel sum as the attribute gl15: the rule of _gl15, one
+    # Python call per panel instead of two per node
     cosh, sinh, exp, expm1 = math.cosh, math.sinh, math.exp, math.expm1
+    k1 = (k or 0) + 1
 
     def g(s: float) -> float:
         c = cosh(s)
         u = z * c
-        w = exp(-u) / -expm1(-u) if is_bose else exp(-u)
+        if k is None:
+            w = exp(-u)
+        elif not k:
+            w = exp(-u) / -expm1(-u)
+        else:
+            y = exp(-u)
+            w = y * _horner(coefs, y) / (-expm1(-u)) ** k1
         return scale * sinh(s) ** j * c**power * w
 
     def gl15(a: float, b: float) -> float:
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         total = 0.0
-        if is_bose:
+        if k is None:
+            for x, wx in _GL_PAIRS:
+                s = mid + half * x
+                c = cosh(s)
+                total += wx * (scale * sinh(s) ** j * c**power * exp(-z * c))
+        elif not k:
             for x, wx in _GL_PAIRS:
                 s = mid + half * x
                 c = cosh(s)
@@ -395,7 +498,12 @@ def _cosh_integrand(j: int, power: int, scale: float, z: float, is_bose: bool):
             for x, wx in _GL_PAIRS:
                 s = mid + half * x
                 c = cosh(s)
-                total += wx * (scale * sinh(s) ** j * c**power * exp(-z * c))
+                u = z * c
+                y = exp(-u)
+                poly = 0.0
+                for coef in coefs:
+                    poly = poly * y + coef
+                total += wx * (scale * sinh(s) ** j * c**power * (y * poly / (-expm1(-u)) ** k1))
         if total != total:  # a NaN node makes the sum NaN
             raise ValueError(f"integrand returned NaN on ({a!r}, {b!r})")
         return half * total

@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import ROUNDING, DEFAULT_TOL, _EXP_SUBNORMAL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, cosh_quad, sum_series
+from .engine import _left_sum, adaptive_quad, cosh_quad, sum_series
 from .matsubara import CavityConfig
 
 __all__ = [
@@ -212,7 +212,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
     outer = adaptive_quad(inner, math.log(_X_LOW / c), math.log(_EXP_SUBNORMAL / c), outer_tol)
     value = outer.value
     # the ends in zeta are (2 a c^3)^(-1) times the x integrals of _t0_end_bounds
-    ends = abs(pref) * sum(_t0_end_bounds(_X_LOW, _EXP_SUBNORMAL)) / (2.0 * cfg.a) / c / c / c
+    ends = abs(pref) * _left_sum(_t0_end_bounds(_X_LOW, _EXP_SUBNORMAL)) / (2.0 * cfg.a) / c / c / c
     return EnergyValue(
         value,
         outer.err_estimate + inner_acc.rel_max * abs(value) + ends,  # inner values: one sign

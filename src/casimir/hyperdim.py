@@ -43,24 +43,35 @@ k = omega0, so there each mode integral is split in two.  Every cutoff
 must be finite: at lambda = inf the sum would be 0 for any geometry.
 
 Every constant-index integral here is int_0^inf k^(d-2) E w(z E/q) dk,
-E = sqrt(k^2 + q^2): each mode integral (q = pi m/a, z = lambda q, the
-weight named "exp", w(u) = e^(-u): a constant n is taken outside, and
-n(E) = 1 for eps_bar = 1, the one dispersive model without a gap) and
-the inner k integral of the cartesian pressure route (q = n zeta,
-z = 2 a q, the weight "bose", w(u) = 1/(e^u - 1)).  All run on
-engine.cosh_quad with j = d - 2, p = 1: the map k = q sinh s, as
-q^d int_0^s1 sinh^(d-2)s cosh^2 s w(z cosh s) ds, an integrand analytic at
-every D, which adaptive_quad resolves to a few 1e-15 relative in 1.4-2.5x
-fewer evaluations than on its map t/(1-t) of E or k (there a mode
-integral's weight (E^2 - q^2)^((D-4)/2) is singular at E = q for D = 3).
-The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
-D = 12, where a closed bound on the dropped tail falls to a quarter of the
-rounding floor; that bound is part of err_estimate.  Past z ~ 700 the end
-stays at z cosh s1 = 745.2, where w underflows.  Only the
-dispersive sum with eps_bar > 1 keeps that E-map, split at the jump of
+E = sqrt(k^2 + q^2), on engine.cosh_quad with j = d - 2, p = 1: the map
+k = q sinh s, as q^d int_0^s1 sinh^(d-2)s cosh^2 s w(z cosh s) ds, an
+integrand analytic at every D (on the map t/(1-t) of E, a mode integral's
+weight (E^2 - q^2)^((D-4)/2) is singular at E = q for D = 3).  The vacuum
+mode sum sums over the modes first: each mode m has q = pi m/a and
+z = lambda q with the weight e^(-u), so on the common variable s
+
+    sum_m (pi m/a)^d e^(-m t cosh s) = (pi/a)^d Li_(-d)(e^(-t cosh s)),
+
+t = lambda pi/a, and Li_(-d)(y) = y A_d(y)/(1 - y)^(d+1), A_d the Eulerian
+polynomial: mode_energy is one cosh_quad (q = pi/a, z = t, weight d) of
+105-225 evaluations at D = 3..12, to about 1e-15 relative, where one
+quadrature per mode inside sum_series took 16 112 evaluations at D = 4,
+lambda = 0.1 and 85 292 at D = 12, lambda = 0.05.  That per-mode sum stays
+as the check route _mode_energy_per_mode (the crosscheck rows
+mode_energy=per_mode_sum@D=...).  The inner k integral of the cartesian
+pressure route is the same integral with q = n zeta, z = 2 a q and the
+Bose weight (k = 0).  The range ends at z cosh s1 = z + M, M = 39.8 at
+D = 3 up to 62.5 at D = 12, where a closed bound on the dropped tail falls
+to a quarter of the rounding floor; that bound and a count of the
+roundings are part of err_estimate.  Past z ~ 700 the end stays at
+z cosh s1 = 745.2, where w underflows.  Where the mode sum or the Eulerian
+numbers leave the double range (D >= 95 at lambda/a = 0.1, D >= 173 at
+any lambda) mode_energy raises OverflowError.  Only the dispersive sum
+with eps_bar > 1 keeps one E-map integral per mode, split at the jump of
 n(k) at omega0, so at D = 3 it still raises ZeroDivisionError (the
 benchmark's reference, perfbench/oracle.py, has no D = 3 dispersive form
-and would fail on a D = 3 value).  With eps_bar = 1, n(k) = 1 has no jump.
+and would fail on a D = 3 value).  With eps_bar = 1, n(k) = 1 has no jump
+and the dispersive sum is the vacuum one, bit for bit.
 """
 
 from __future__ import annotations
@@ -252,21 +263,26 @@ def _check_cutoff(lam: float) -> None:
 def _mode_sum(
     cfg: HyperConfig, lam: float, tol: Tolerance, model: LorentzModel | None = None
 ) -> EnergyValue:
-    # sum over m of A_d * int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
+    # a_d sum over m of int_q^inf (E^2-q^2)^((d-3)/2) E^2 e^(-lam E) / n(E) dE,
     # q = pi m / a.  Without a polariton gap n(E) = 1 (model None, or
-    # eps_bar = 1), and each mode runs on cosh_quad with the weight e^(-u).
-    # Across a gap it runs over t in (0, 1) with E = q + t/(1-t), adaptive_quad's
-    # map of (q, inf), split at the t of omega0 so that both pieces keep nodes near q.
+    # eps_bar = 1), and the sum over m comes first: on E = q cosh s,
+    # sum_m (pi m/a)^d e^(-m t cosh s) = (pi/a)^d Li_(-d)(e^(-t cosh s)),
+    # t = lam pi/a, so the whole sum is one cosh_quad with the weight Li_(-d).
+    # Across a gap each mode runs over t in (0, 1) with E = q + t/(1-t),
+    # adaptive_quad's map of (q, inf), split at the t of omega0 so that both
+    # pieces keep nodes near q.
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
     quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
-    power = 0.5 * (d - 3)
     split = math.inf if model is None else _photon_jump(model)
+    if split == math.inf:
+        base = math.pi / cfg.a
+        ev = cosh_quad(d - 2, 1, base, lam * base, d, quad_tol)
+        return EnergyValue(
+            a_d * ev.value, a_d * ev.err_estimate, "quadrature", ev.converged, ev.evaluations
+        )
+    power = 0.5 * (d - 3)
     acc = Accumulator()
-
-    def cosh_term(m: int) -> float:
-        q = math.pi * m / cfg.a
-        return acc.take(cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol))
 
     def term(m: int) -> float:
         q = math.pi * m / cfg.a
@@ -286,18 +302,38 @@ def _mode_sum(
             pieces.take(adaptive_quad(g, lo, hi, quad_tol))
         return acc.take(pieces)
 
-    series = acc.take(sum_series(cosh_term if split == math.inf else term, start=1, tol=tol))
+    series = acc.take(sum_series(term, start=1, tol=tol))
     return EnergyValue(
         a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
     )
 
 
+def _mode_energy_per_mode(
+    cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL
+) -> EnergyValue:
+    # The check route of mode_energy: the same sum with the modes summed
+    # last, one cosh_quad with the weight e^(-u) per mode inside sum_series
+    d = cfg.d
+    a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
+    quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
+    acc = Accumulator()
+
+    def term(m: int) -> float:
+        q = math.pi * m / cfg.a
+        return acc.take(cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol))
+
+    series = acc.take(sum_series(term, start=1, tol=tol))
+    value, err = a_d * series / cfg.n, a_d * acc.err_estimate / cfg.n
+    return EnergyValue(value, err, "quadrature", acc.converged, acc.evaluations)
+
+
 def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Exponentially regulated vacuum-mode energy at a finite cutoff
-    lambda > 0; the medium enters only through the overall 1/n."""
+    lambda > 0; the medium enters only through the overall 1/n.  Raises
+    OverflowError where the sum leaves the double range."""
     _check_cutoff(lam)
-    # 1/n outside the weight: cosh_quad's tail bound is tight for w(u) = e^(-u)
-    # and n times too large for e^(-u)/n
+    # 1/n outside the weight: cosh_quad's tail bound is tight for w = Li_(-d)
+    # and n times too large for Li_(-d)/n
     ev = _mode_sum(cfg, lam, tol)
     n = cfg.n
     return EnergyValue(ev.value / n, ev.err_estimate / n, ev.method, ev.converged, ev.evaluations)

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import METHOD_TAGS, ROUNDING, UNDERFLOW, DEFAULT_TOL, Accumulator, EnergyValue
-from .engine import Tolerance, adaptive_quad, finite_diff, sum_series
+from .engine import Tolerance, _left_sum, adaptive_quad, finite_diff, sum_series
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -261,9 +261,9 @@ def _kernel_dual(u: float, max_iter: int) -> _Kernel:
         2.0 * u / math.pi**2 * s_v,
         2.0 * v * d,  # -S'(v)
     )
-    err_s = (u / math.pi) ** 2 * tail_r + ROUNDING * sum(map(abs, pieces))
-    err_ds = 2.0 * u / math.pi**2 * tail_r + 2.0 * v * tail_d + ROUNDING * sum(map(abs, d_pieces))
-    return _Kernel(sum(pieces), sum(d_pieces), err_s, err_ds, ok, "poisson_resummed", log_rest)
+    err_s = (u / math.pi) ** 2 * tail_r + ROUNDING * _left_sum(map(abs, pieces))
+    err_ds = 2.0 * u / math.pi**2 * tail_r + 2.0 * v * tail_d + ROUNDING * _left_sum(map(abs, d_pieces))
+    return _Kernel(_left_sum(pieces), _left_sum(d_pieces), err_s, err_ds, ok, "poisson_resummed", log_rest)
 
 
 def _thermal_kernel(cfg: CavityConfig, tol: Tolerance) -> _Kernel:

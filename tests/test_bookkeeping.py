@@ -17,8 +17,10 @@ QUADRATURES = ("adaptive_quad", "cosh_quad")
 ROUTES = {
     "free_energy_quad": lambda: matsubara.free_energy_quad(CavityConfig(a=1.0, T=1.0)),
     "internal_energy_from_F": lambda: matsubara.internal_energy_from_F(CavityConfig(a=1.0, T=1.0)),
-    "mode_energy": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=4), 1.0),
-    "mode_energy_D5": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=5), 1.0),
+    # mode_energy is one cosh_quad; its check route folds one per mode
+    "mode_energy": lambda: hyperdim._mode_energy_per_mode(hyperdim.HyperConfig(dim=4), 1.0),
+    "mode_energy_D5": lambda: hyperdim._mode_energy_per_mode(hyperdim.HyperConfig(dim=5), 1.0),
+    "mode_energy_summed": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=4), 1.0),
     "pressure_quadrature_cartesian": lambda: hyperdim.pressure_quadrature(
         hyperdim.HyperConfig(dim=4), route="cartesian"
     ),
@@ -42,9 +44,12 @@ def wrap_engine(monkeypatch, after):
                 monkeypatch.setattr(mod, name, wrapper)
 
 
-# the routes whose inner results include quadratures; internal_energy_from_F
-# differences the S kernel, which sums without the engine
-QUADRATURE_ROUTES = [name for name in ROUTES if name != "internal_energy_from_F"]
+# the routes whose inner results include several quadratures;
+# internal_energy_from_F differences the S kernel, which sums without the
+# engine, and the summed mode_energy returns its one quadrature's flag
+QUADRATURE_ROUTES = [
+    name for name in ROUTES if name not in ("internal_energy_from_F", "mode_energy_summed")
+]
 
 
 @pytest.mark.parametrize("route", QUADRATURE_ROUTES)

@@ -176,6 +176,8 @@ class TestExitCodes:
             ["free-energy", "--a", "1e-120"],  # ZeroDivisionError
             ["internal-energy", "--T", "1e300"],  # OverflowError
             ["pressure", "--T", "0", "--a", "1e-100"],  # ZeroDivisionError
+            ["cutoff-sum", "--D", "95"],  # OverflowError: the mode sum passes 1.8e308
+            ["cutoff-sum", "--D", "200"],  # OverflowError: the Eulerian numbers of A_199 do
         ],
     )
     def test_arithmetic_failure_exits_one(self, capsys, argv):
@@ -353,11 +355,19 @@ class TestCrosscheck:
         assert exc.value.code == 2
 
     def test_computes_only_the_mode_sums_it_reads(self, capsys, mode_sum_lams, monkeypatch):
-        # cutoff_exponent~D reads lambda = 0.1 and 0.05; dispersive_sum(omega0->inf)=vacuum/sqrt(eps)
-        # the dispersive sum, which runs photon_index, and the vacuum sum at 2
+        # mode_energy=per_mode_sum@D=4,5,8 read the summed and the per-mode
+        # route at lambda = 0.5; cutoff_exponent~D reads lambda = 0.1 and 0.05;
+        # dispersive_sum(omega0->inf)=vacuum/sqrt(eps) the dispersive sum,
+        # which runs photon_index, and the vacuum sum at 2
         calls, index = [], hyperdim.photon_index
         monkeypatch.setattr(hyperdim, "photon_index", lambda m, k: calls.append(k) or index(m, k))
+        per_mode, route = [], hyperdim._mode_energy_per_mode
+        monkeypatch.setattr(
+            hyperdim, "_mode_energy_per_mode",
+            lambda cfg, lam, *args: per_mode.append((cfg.D, lam)) or route(cfg, lam, *args),
+        )
         code, _ = run_cli(["crosscheck"], capsys)
         assert code == 0
-        assert mode_sum_lams == [0.1, 0.05, 2.0, 2.0]
+        assert mode_sum_lams == [0.5, 0.5, 0.5, 0.1, 0.05, 2.0, 2.0]
+        assert per_mode == [(4, 0.5), (5, 0.5), (8, 0.5)]
         assert calls

@@ -1,0 +1,36 @@
+"""Every printed route must move a cross-check row: a route whose value is
+scaled by (1 + 1e-8) on the module attribute that casimir.checks calls
+makes at least one row of checks.crosscheck() fail."""
+
+import dataclasses
+
+import pytest
+
+from casimir import checks, hyperdim, matsubara
+
+DELTA = 1e-8
+
+
+def _scaled(fn, when):
+    def wrapper(cfg, *args, **kwargs):
+        ev = fn(cfg, *args, **kwargs)
+        return dataclasses.replace(ev, value=ev.value * (1.0 + DELTA)) if when(cfg) else ev
+
+    return wrapper
+
+
+def _failing_rows():
+    return [r["check"] for r in checks.crosscheck() if not r["passed"]]
+
+
+@pytest.mark.parametrize("D", [4, 5, 8])
+def test_mode_energy_moves_a_row(D, monkeypatch):
+    # cutoff-sum prints mode_energy; at D = 5 and 8 only the per-mode rows see it
+    monkeypatch.setattr(hyperdim, "mode_energy", _scaled(hyperdim.mode_energy, lambda c: c.D == D))
+    assert f"mode_energy=per_mode_sum@D={D}" in _failing_rows()
+
+
+def test_pressure_T0_moves_a_row(monkeypatch):
+    # pressure --T 0 at D = 4 prints matsubara.pressure's closed form
+    monkeypatch.setattr(matsubara, "pressure", _scaled(matsubara.pressure, lambda c: c.T == 0))
+    assert "P_T0=P_closed@D=4" in _failing_rows()

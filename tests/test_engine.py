@@ -11,6 +11,7 @@ import casimir
 from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
 from casimir.engine import adaptive_quad, cosh_quad, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_integrand, _cosh_margin, _cosh_tail
+from casimir.engine import _cosh_rounding, _eulerian
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
 TIGHT = Tolerance(rel=1e-12, abs=0.0)
@@ -147,28 +148,44 @@ class TestAdaptiveQuad:
         assert res.evaluations == len(calls) > 45
 
 
-def _mp_cosh_tail(j, p, q, z, x1, bose_weight):
+def _mp_cosh_tail(j, p, q, z, x1, order):
     """30-digit q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
     m = j + p, x1 = z cosh s1, in x = z cosh s = x1 + y with the e^(-x1) of
-    w taken out of the integral, which then is of order 1."""
+    w taken out of the integral, which then is of order 1.  order None is
+    w = e^(-u); order k >= 0 is Li_(-k)(e^(-u)) = e^(-u) A_k(e^(-u))/(1 - e^(-u))^(k+1),
+    A_k the Eulerian polynomial (k = 0 the Bose weight).  Breakpoints a
+    factor 100 apart resolve the scales of x from z up: Li_(-k) grows like
+    k!/u^(k+1) at small u."""
     with mp.workdps(30):
         q, z, x1 = mp.mpf(q), mp.mpf(z), mp.mpf(x1)
-        h = mp.mpf(j - 1) / 2
+        coefs = [mp.mpf(int(c)) for c in _eulerian(order or 0)]
+        e1 = mp.exp(-x1)
 
         def f(y):
             x = x1 + y
-            w = mp.exp(-y) / (-mp.expm1(-x) if bose_weight else 1)
-            return ((x - z) * (x + z)) ** h * x ** (p + 1) * w
+            ey = mp.exp(-y)
+            w = ey
+            if order is not None:
+                e = e1 * ey
+                w *= mp.polyval(coefs, e) / (1 - e if x > 1 else -mp.expm1(-x)) ** (order + 1)
+            # ((x - z)(x + z))^((j - 1)/2), with integer powers and one sqrt
+            s2 = (x - z) * (x + z)
+            root = s2 ** ((j - 1) // 2) * (mp.sqrt(s2) if j % 2 == 0 else 1)
+            return root * x ** (p + 1) * w
 
-        return (q / z) ** (j + p + 1) * mp.exp(-x1) * mp.quad(f, [0, mp.inf])
+        points, edge = [mp.mpf(0)], x1
+        while edge < 1:
+            points.append(edge)
+            edge *= 100
+        return (q / z) ** (j + p + 1) * e1 * mp.quad(f, points + [mp.mpf(1), mp.inf])
 
 
 def _mp_cosh_value(shape, j, p, q, z):
     """The whole integral at 30 digits: closed forms for em's sinh * Bose,
     -(q/z) ln(1 - e^(-z)), and for the mode weight e^(-u), through
     int_0^inf sinh^(2 nu) s e^(-z cosh s) ds = Gamma(nu + 1/2) (2/z)^nu K_nu(z)/sqrt(pi)
-    with cosh^2 = 1 + sinh^2; the Bose weight (cartesian inner) as the tail
-    from z."""
+    with cosh^2 = 1 + sinh^2; the Bose weight (cartesian inner) and the
+    polylogarithm weights as the tail from z."""
     with mp.workdps(30):
         qm, zm = mp.mpf(q), mp.mpf(z)
         if shape == "em":
@@ -179,7 +196,14 @@ def _mp_cosh_value(shape, j, p, q, z):
                 return mp.gamma(nu + 0.5) * (2 / zm) ** nu * mp.besselk(nu, zm) / mp.sqrt(mp.pi)
 
             return qm ** (j + 2) * (sinh_moment(j) + sinh_moment(j + 2))
-        return _mp_cosh_tail(j, p, q, z, z, True)
+        return _mp_cosh_tail(j, p, q, z, z, 0 if shape == "bose" else _weight(shape))
+
+
+def _weight(shape):
+    # the cosh_quad weight of a shape: e^(-u), Bose, or the order of Li_(-k)
+    if shape.startswith("li"):
+        return int(shape[2:])
+    return "exp" if shape == "mode" else "bose"
 
 
 # the mode integrals and the cartesian inner integral at D = 3..12, em's
@@ -189,19 +213,23 @@ COSH_SHAPES = (
     + [("bose", D - 3, 1) for D in range(3, 13)]
     + [("em", 1, -1)]
 )
+# the weights Li_(-k)(e^(-u)), k = 1..11: the summed mode integrals at
+# D = k + 1 (j = k - 2, p = 1), and j = p = 0 at k = 1
+LI_SHAPES = [("li1", 0, 0)] + [(f"li{k}", k - 2, 1) for k in range(2, 12)]
 
 
 class TestCoshQuad:
     @pytest.mark.parametrize("z", [1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
-    @pytest.mark.parametrize("shape, j, p", COSH_SHAPES)
+    @pytest.mark.parametrize("shape, j, p", COSH_SHAPES + LI_SHAPES)
     def test_tail_bound_and_value(self, shape, j, p, z):
         # q = e^(z/(m+1)) keeps the value and the tail normal numbers at z = 700
         q = math.exp(z / (j + p + 1))
-        weight = "exp" if shape == "mode" else "bose"
+        weight = _weight(shape)
         ev = cosh_quad(j, p, q, z, weight, Tolerance(rel=1e-13, abs=0.0))
         x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
-        bound = _cosh_tail(j, p, q, z, x1)
-        tail = _mp_cosh_tail(j, p, q, z, x1, shape != "mode")
+        order = weight if isinstance(weight, int) else 0
+        bound = _cosh_tail(j, p, q, z, x1, order, _eulerian(order))
+        tail = _mp_cosh_tail(j, p, q, z, x1, None if weight == "exp" else order)
         assert ev.converged
         assert bound >= tail
         if x1 < _EXP_UNDERFLOW:
@@ -210,16 +238,14 @@ class TestCoshQuad:
             # cut at the underflow of e^(-u), 45.2 past z = 700: at D = 11
             # and 12 the dropped part itself is 1.9 and 6.3 ROUNDING |value|
             assert bound <= 1.01 * tail
-        # adaptive_quad's estimate has no rounding floor; each weight carries
-        # the rounding of its argument u = z cosh s, about u eps relative
         ref = _mp_cosh_value(shape, j, p, q, z)
-        assert abs(ev.value - ref) <= ev.err_estimate + ROUNDING * (2.0 + z) * abs(ev.value)
+        assert abs(ev.value - ref) <= ev.err_estimate
 
     def test_subnormal_weights_give_an_exact_zero(self):
         ev = cosh_quad(1, 1, 1.0, 710.0, "bose")
         assert (ev.value, ev.err_estimate, ev.converged, ev.evaluations) == (0.0, 0.0, True, 0)
 
-    @pytest.mark.parametrize("weight", ["exp", "bose"])
+    @pytest.mark.parametrize("weight", ["exp", "bose", 5])
     @pytest.mark.parametrize("z", [1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
     @pytest.mark.parametrize("shape, j, p", COSH_SHAPES)
     def test_fused_panels_equal_the_plain_integrand(self, shape, j, p, z, weight):
@@ -227,27 +253,54 @@ class TestCoshQuad:
         # integrand bit for bit: value, error, evaluations and flag
         q = math.exp(z / (j + p + 1))
         scale = q ** (j + p + 1)
+        order = 0 if weight in ("exp", "bose") else weight
+        coefs = _eulerian(order) if order else ()
 
         def plain(s):
             c = math.cosh(s)
             u = z * c
-            w = math.exp(-u) / -math.expm1(-u) if weight == "bose" else math.exp(-u)
+            if weight == "exp":
+                w = math.exp(-u)
+            elif weight == "bose":
+                w = math.exp(-u) / -math.expm1(-u)
+            else:
+                y, poly = math.exp(-u), 0.0
+                for coef in coefs:
+                    poly = poly * y + coef
+                w = y * poly / (-math.expm1(-u)) ** 6
             return scale * math.sinh(s) ** j * c ** (p + 1) * w
 
         tol = Tolerance(rel=1e-13, abs=0.0)
         x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
         ref = adaptive_quad(plain, 0.0, math.acosh(x1 / z), tol)
-        err = ref.err_estimate + _cosh_tail(j, p, q, z, x1)
-        expected = (ref.value, err, ref.evaluations, ref.converged and err <= tol.target(ref.value))
+        err = ref.err_estimate + _cosh_tail(j, p, q, z, x1, order, coefs)
+        converged = ref.converged and err <= tol.target(ref.value)
+        err += _cosh_rounding(j, p, order, z, ref.evaluations) * abs(ref.value)
         ev = cosh_quad(j, p, q, z, weight, tol)
-        assert (ev.value, ev.err_estimate, ev.evaluations, ev.converged) == expected
+        assert (ev.value, ev.err_estimate, ev.evaluations, ev.converged) == (
+            ref.value, err, ref.evaluations, converged
+        )
         # the integrand itself, for callers that evaluate it pointwise
-        g = _cosh_integrand(j, p + 1, scale, z, weight == "bose")
+        g = _cosh_integrand(j, p + 1, scale, z, None if weight == "exp" else order, coefs)
         assert [g(s) for s in (0.01, 0.1, 0.5)] == [plain(s) for s in (0.01, 0.1, 0.5)]
 
     def test_weight_is_named(self):
-        with pytest.raises(ValueError):
-            cosh_quad(1, 1, 1.0, 1.0, math.exp)
+        for weight in (math.exp, "li", -1, 2.0, True):
+            with pytest.raises(ValueError):
+                cosh_quad(1, 1, 1.0, 1.0, weight)
+
+    def test_eulerian_coefficients(self):
+        # A_0..A_4, and sum_i A(k, i) = k!
+        assert [_eulerian(k) for k in range(5)] == [
+            (1.0,), (1.0,), (1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 11.0, 11.0, 1.0)
+        ]
+        assert sum(_eulerian(12)) == math.factorial(12)
+        with pytest.raises(OverflowError):
+            _eulerian(172)
+
+    def test_bose_is_order_zero(self):
+        for z in (1e-3, 1.0, 100.0):
+            assert cosh_quad(2, 1, 1.5, z, "bose") == cosh_quad(2, 1, 1.5, z, 0)
 
     def test_margin_meets_its_share_of_rounding(self):
         # Q(m+1, M) = Gamma(m+1, M)/m! = ROUNDING/4 defines the cut

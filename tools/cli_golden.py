@@ -11,7 +11,9 @@ written).  Each call runs in process through ``casimir.cli.main`` inside a
 fresh temporary directory holding the config files below, with
 ``CASIMIR_CONFIG`` unset and ``COLUMNS=80`` so argparse's help text wraps
 the same everywhere.  Two trees agree when ``diff`` finds their OUT.json
-files equal.
+files equal.  ``tools/golden.json`` is the record of the committed tree;
+CI records the set on every interpreter it tests and diffs it against that
+file, and a change that moves bytes records it again in the same commit.
 
 ``--compare`` prints each invocation whose record differs between two
 OUT.json files, with the changed lines of stdout (and of a written file)
