@@ -62,7 +62,7 @@ spec = CircuitSpec(L=1.0, eps_model=model)
 w_star = eigenfrequency(spec)
 energy = circuit_energy(spec)
 print(f"  eigenfrequency omega* = {w_star:.12f}")
-print(f"  circuit energy        = {energy.value:.12f}  (dC/domega = {energy.dC_domega:.6e})")
+print(f"  circuit energy        = {energy.value:.12f}  (dC/domega = {spec.dC_domega(w_star):.6e})")
 print()
 print("Adiabatic plate displacement: invariant route vs insulated capacitor")
 print("(the frequency-derivative terms cancel; agreement is first order):")

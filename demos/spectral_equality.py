@@ -1,7 +1,8 @@
 """Field-fluctuation route to the plate energy.
 
-Shows the rotated spectral Green's components, the exact equality of the
-electric and magnetic halves of the spectral energy density, and the
+Shows the exact equality of the electric and magnetic halves of the
+rotated spectral energy density, built from the two component sets of the
+Green's dyadic at z = z', and the
 zero-temperature energy computed three ways: nested (zeta, k) quadrature,
 the polar-coordinate Bose integral, and the closed form -pi^2/(720 n a^3).
 Finally checks W(T) = U(T) at finite temperature.
@@ -12,7 +13,6 @@ import math
 from casimir import (
     CavityConfig,
     Tolerance,
-    greens_components,
     spectral_energy_density,
     em_energy_T0,
     em_energy_T0_polar,
@@ -22,12 +22,6 @@ from casimir import (
 
 cfg = CavityConfig(a=1.0, T=0.0)
 
-print("Rotated Green's components at z = z', k_perp = zeta = 1:")
-g = greens_components(0.0, 0.0, 1.0, 1.0, cfg)
-print(f"  g_xx = {g.g_xx:+.12f}   g_yy = {g.g_yy:+.12f}   g_zz = {g.g_zz:+.12f}")
-print(f"  kappa = {g.kappa:.12f}, cavity factor d = {g.d_factor:.12f}")
-
-print()
 print("Electric half vs magnetic half of the spectral density:")
 for k, zeta in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.1)):
     p = spectral_energy_density(k, zeta, cfg)

@@ -10,7 +10,7 @@ area.
 """
 
 from .engine import Tolerance, EnergyValue, adaptive_quad, sum_series, finite_diff
-from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
+from .specfun import riemann_zeta, hurwitz_zeta, solid_angle
 from .matsubara import (
     CavityConfig,
     free_energy,
@@ -26,9 +26,7 @@ from .matsubara import (
     pressure_quad,
 )
 from .green_em import (
-    SpectralGreens,
     EnergySpectralPoint,
-    greens_components,
     spectral_energy_density,
     em_energy_T0,
     em_energy_T0_polar,
@@ -44,7 +42,7 @@ from .dispersion import (
     w_I_energy,
     w2_density_cutoff,
 )
-from .circuit import CircuitSpec, CircuitEnergy, eigenfrequency, circuit_energy, adiabatic_variation_check
+from .circuit import CircuitSpec, eigenfrequency, circuit_energy, adiabatic_variation_check
 from .hyperdim import (
     HyperConfig,
     DensityProfile,

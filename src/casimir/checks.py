@@ -42,6 +42,27 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
             matsubara.internal_energy_resummed(cfg, tol).value,
             1e-9,
         )
+    # the asymptotic forms where their dropped terms are below rounding
+    cfg = CavityConfig(a=1.0, T=0.05)
+    check(
+        "U=U_lowT@naT=0.05",
+        matsubara.internal_energy(cfg, tol).value,
+        matsubara.internal_energy_lowT(cfg).value,
+        1e-12,
+    )
+    check(
+        "F=F_lowT@naT=0.05",
+        matsubara.free_energy(cfg, tol).value,
+        matsubara.free_energy_lowT(cfg).value,
+        1e-12,
+    )
+    cfg = CavityConfig(a=1.0, T=5.0)
+    check(
+        "U=U_highT@naT=5",
+        matsubara.internal_energy(cfg, tol).value,
+        matsubara.internal_energy_highT_asymptote(cfg).value,
+        1e-12,
+    )
     for naT in (0.3, 1.0, 2.0):
         cfg = CavityConfig(a=1.0, T=naT)
         check(
@@ -100,14 +121,18 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     )
     for D in (4, 5, 6):
         hcfg = HyperConfig(dim=D)
-        ident, fd = hyperdim.pressure_from_w1(hcfg)
-        closed = hyperdim.pressure_closed(hcfg).value
-        check(f"(D-1)w1=P@D={D}", ident.value, closed, 1e-12)
-        check(f"-d(a*w1)/da=P@D={D}", fd.value, closed, 1e-8)
+        _, fd = hyperdim.pressure_from_w1(hcfg)
+        check(f"-d(a*w1)/da=P@D={D}", fd.value, hyperdim.pressure_closed(hcfg).value, 1e-8)
     model = LorentzModel(eps_bar=2.0, omega0=10.0)
     spec = circuit_mod.CircuitSpec(L=1.0, eps_model=model)
     w_star = circuit_mod.eigenfrequency(spec)
     check("circuit:LJ2=Cphi2", w_star**2 * spec.L * spec.capacitance(w_star), 1.0, 1e-12)
+    check(
+        "circuit:dC_domega=finite_diff",
+        spec.dC_domega(w_star),
+        finite_diff(spec.capacitance, w_star, 1e-2 * w_star).value,
+        1e-9,
+    )
     r3 = circuit_mod.adiabatic_variation_check(spec, 1e-3)
     r4 = circuit_mod.adiabatic_variation_check(spec, 1e-4)
     # |ratio - 1| falls tenfold with delta a: the first-order terms cancel

@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+from .engine import EnergyValue
 from .dispersion import (
     LorentzModel,
     DEFAULT_RESONANCE_HALFWIDTH,
@@ -39,8 +40,7 @@ from .dispersion import (
     dispersive_mode_solve,
 )
 
-__all__ = ["CircuitSpec", "CircuitEnergy", "eigenfrequency", "circuit_energy",
-           "adiabatic_variation_check"]
+__all__ = ["CircuitSpec", "eigenfrequency", "circuit_energy", "adiabatic_variation_check"]
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,6 @@ class CircuitSpec:
         ) ** 2
 
 
-@dataclass(frozen=True)
-class CircuitEnergy:
-    """The circuit energy with the bound on its rounding error, the
-    eigenfrequency and dC/d omega there."""
-
-    value: float
-    omega_star: float
-    dC_domega: float
-    err_estimate: float = 0.0
-
-
 def eigenfrequency(spec: CircuitSpec) -> float:
     """Lowest positive root of omega^2 L C(omega) = 1.
 
@@ -111,16 +100,16 @@ def eigenfrequency(spec: CircuitSpec) -> float:
     return w
 
 
-def circuit_energy(spec: CircuitSpec) -> CircuitEnergy:
+def circuit_energy(spec: CircuitSpec) -> EnergyValue:
     """Averaged circuit energy (1/(2 omega)) d(omega^2 C)/d omega * phi^2
     at the solved eigenfrequency, with the capacitance derivative taken
-    analytically from the Lorentz form."""
+    analytically from the Lorentz form; err_estimate bounds its rounding."""
     w = eigenfrequency(spec)
     c = spec.capacitance(w)
     dc = spec.dC_domega(w)
     value = (c + 0.5 * w * dc) * spec.phi_sq_bar
     err = _energy_rounding(spec, w) * abs(value)
-    return CircuitEnergy(value=value, omega_star=w, dC_domega=dc, err_estimate=err)
+    return EnergyValue(value, err, "closed_form")
 
 
 def _energy_rounding(spec: CircuitSpec, w: float) -> float:
@@ -156,11 +145,10 @@ def adiabatic_variation_check(spec: CircuitSpec, delta_a_rel: float) -> tuple[fl
     """
     if not 0 < delta_a_rel < 1:
         raise ValueError("delta_a_rel must lie in (0, 1)")
-    energy = circuit_energy(spec)
-    w1 = energy.omega_star
+    w1 = eigenfrequency(spec)
     moved = replace(spec, a=spec.a * (1.0 + delta_a_rel))
     w2 = eigenfrequency(moved)
-    lhs = energy.value * (w2 - w1) / w1
+    lhs = circuit_energy(spec).value * (w2 - w1) / w1
     dc_static = spec.capacitance(w1, a=spec.a * (1.0 + delta_a_rel)) - spec.capacitance(w1)
     rhs = -0.5 * spec.phi_sq_bar * dc_static
     return lhs, rhs

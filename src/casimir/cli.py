@@ -170,8 +170,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
             eps_model=model,
             phi_sq_bar=params["phi_sq"],
         )
-        energy = circuit_mod.circuit_energy(spec)
-        ev = EnergyValue(energy.value, energy.err_estimate, "closed_form")
+        ev = circuit_mod.circuit_energy(spec)
         return [_energy_row(_COLUMNS[command], dict(params, eps_bar=model.eps_bar), ev)]
     if command == "cutoff-sum":
         hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])

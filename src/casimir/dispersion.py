@@ -9,8 +9,8 @@ The Lorentz dielectric is
 
 valid away from the resonance where neglecting dissipation is legitimate;
 real-axis evaluation therefore refuses a window |omega/omega0 - 1| <=
-delta around omega0.  On the imaginary axis the same response is smooth
-and monotone,
+DEFAULT_RESONANCE_HALFWIDTH = 0.05 around omega0.  On the imaginary axis
+the same response is smooth and monotone,
 
     eps(i zeta) = 1 + (eps_bar - 1) / (1 + zeta^2/omega0^2),
 
@@ -98,14 +98,11 @@ def _eps_real_unguarded(model: LorentzModel, omega: float) -> float:
     return 1.0 + (model.eps_bar - 1.0) / (1.0 - (omega / model.omega0) ** 2)
 
 
-def eps_of_omega(
-    model: LorentzModel,
-    omega: float,
-    delta: float = DEFAULT_RESONANCE_HALFWIDTH,
-) -> float:
+def eps_of_omega(model: LorentzModel, omega: float) -> float:
     """Real-axis permittivity; rejects the resonance zone
-    |omega/omega0 - 1| <= delta where the lossless form is meaningless."""
-    if abs(omega / model.omega0 - 1.0) <= delta:
+    |omega/omega0 - 1| <= DEFAULT_RESONANCE_HALFWIDTH where the lossless
+    form is meaningless."""
+    if abs(omega / model.omega0 - 1.0) <= DEFAULT_RESONANCE_HALFWIDTH:
         raise ValueError(
             f"omega={omega} lies within the excluded resonance zone of omega0={model.omega0}"
         )

@@ -408,8 +408,8 @@ def cosh_quad(
     j >= 0 and j + p >= 0 are integers, q > 0 and z > 0; weight names w:
     "exp" for e^(-u), or an integer k >= 0 for the polylogarithm
     Li_(-k)(e^(-u)) = sum_(n>=1) n^k e^(-n u) = y A_k(y)/(1 - y)^(k+1),
-    y = e^(-u), A_k the Eulerian polynomial; "bose" is k = 0, the Bose
-    weight 1/(e^u - 1), computed as e^(-u)/(-expm1(-u)) so that it
+    y = e^(-u), A_k the Eulerian polynomial; k = 0 is the Bose weight
+    1/(e^u - 1), computed as e^(-u)/(-expm1(-u)) so that it
     underflows to 0 instead of overflowing.  With q = pi/a, z = lambda q
     and k = j + p + 1, the integral is the whole regulated mode sum over
     n of the e^(-u) integrals at q n, z n.
@@ -433,14 +433,12 @@ def cosh_quad(
     powers and weight inline at each of the 15 nodes, in the order of the
     plain integrand, so that every bit equals adaptive_quad over it.
     """
-    if weight == "bose":
-        k = 0
-    elif weight == "exp":
+    if weight == "exp":
         k = None
     elif isinstance(weight, int) and not isinstance(weight, bool) and weight >= 0:
         k = weight
     else:
-        raise ValueError(f"unknown weight {weight!r}, need 'exp', 'bose' or an integer k >= 0")
+        raise ValueError(f"unknown weight {weight!r}, need 'exp' or an integer k >= 0")
     if z > _EXP_SUBNORMAL:
         return EnergyValue(0.0, 0.0, "quadrature", True, 0)
     x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
@@ -512,12 +510,8 @@ def _cosh_integrand(
     return g
 
 
-def sum_series(
-    term: Callable[[int], float],
-    start: int = 1,
-    tol: Tolerance = DEFAULT_TOL,
-) -> EnergyValue:
-    """Sum term(m) for m >= start until the stopping rule holds.
+def sum_series(term: Callable[[int], float], tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """Sum term(m) for m = 1, 2, ... until the stopping rule holds.
 
     Stops once |term(m)| < tol.abs and |term(m)| < tol.rel*|partial sum|
     for 3 consecutive terms (guards against plateaus).  Terms are assumed
@@ -535,7 +529,7 @@ def sum_series(
     partial = comp = magnitude = 0.0
     streak = 0
     last = prev = 0.0
-    m = start
+    m = 1
     converged = False
     for _ in range(tol.max_iter):
         t = term(m)
@@ -557,7 +551,7 @@ def sum_series(
                 break
         else:
             streak = 0
-    count = m - start
+    count = m - 1
     # an overflowed sum stays infinite, where inf - inf would make comp NaN
     value = partial + comp if math.isfinite(partial) else partial
     err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * count

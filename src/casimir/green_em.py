@@ -7,7 +7,8 @@ separation-dependent part of the Green's function is kept (the factor
 information and is omitted from the start.
 
 Electric spectral components (transverse Fourier space, k_perp along x,
-evaluated between the plates):
+between the plates; spectral_energy_density evaluates them at z' -> z,
+where the cosh factor is 1):
 
     g_xx = -(kappa/eps) (1/d) cosh kappa(z-z')
     g_yy = -(mu zeta^2/kappa) (1/d) cosh kappa(z-z')
@@ -46,7 +47,7 @@ prints casimir.matsubara.internal_energy, and the crosscheck holds
 em_energy_finiteT and the T = 0 quadratures against it.
 
 em_energy_T0 runs the inner k integral of W(T=0) on engine.cosh_quad
-(j = 1, p = -1, the Bose weight): with q = n zeta, z = 2 a q and
+(j = 1, p = -1, the Bose weight k = 0): with q = n zeta, z = 2 a q and
 k = q sinh s it is q int_0^s1 sinh s / (e^(z cosh s) - 1) ds, cut at
 z cosh s1 = z + 36.0, where the closed bound on the dropped tail,
 (q/z) e^(-z cosh s1)/(1 - e^(-z cosh s1)), is at most a quarter of the
@@ -70,26 +71,12 @@ from .engine import _left_sum, adaptive_quad, cosh_quad, sum_series
 from .matsubara import CavityConfig
 
 __all__ = [
-    "SpectralGreens",
     "EnergySpectralPoint",
-    "greens_components",
     "spectral_energy_density",
     "em_energy_T0",
     "em_energy_T0_polar",
     "em_energy_finiteT",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralGreens:
-    """Diagonal electric spectral components at (z, z', k_perp, zeta),
-    plus the wavenumber kappa and the cavity factor d = e^(2 kappa a) - 1."""
-
-    g_xx: float
-    g_yy: float
-    g_zz: float
-    kappa: float
-    d_factor: float
 
 
 @dataclass(frozen=True)
@@ -101,53 +88,6 @@ class EnergySpectralPoint:
     magnetic_half: float
 
 
-def _kappa_d(k_perp: float, zeta: float, a: float, eps: float, mu: float):
-    kappa = math.sqrt(k_perp**2 + eps * mu * zeta**2)
-    if kappa == 0.0:
-        raise ValueError("kappa = 0 (k_perp = zeta = 0) is singular")
-    arg = 2.0 * kappa * a
-    # past the exponential range 1/d is an exact 0 in double precision
-    d = math.expm1(arg) if arg < 709.0 else math.inf
-    return kappa, d
-
-
-def greens_components(
-    z: float,
-    zp: float,
-    k_perp: float,
-    zeta: float,
-    cfg: CavityConfig,
-    eps: float = 1.0,
-    mu: float = 1.0,
-) -> SpectralGreens:
-    """Rotated electric spectral Green's components between the plates.
-
-    Only cfg.a is read from the cavity; the medium enters through the
-    explicit eps and mu so a frequency-dependent eps(i zeta) can be
-    injected by the dispersion layer.
-    """
-    if not (0.0 <= z <= cfg.a and 0.0 <= zp <= cfg.a):
-        raise ValueError("z and z' must lie in [0, a]")
-    kappa, d = _kappa_d(k_perp, zeta, cfg.a, eps, mu)
-    ch = math.cosh(kappa * (z - zp))
-    return SpectralGreens(
-        g_xx=-(kappa / eps) * ch / d,
-        g_yy=-(mu * zeta**2 / kappa) * ch / d,
-        g_zz=(k_perp**2 / (kappa * eps)) * ch / d,
-        kappa=kappa,
-        d_factor=d,
-    )
-
-
-def _magnetic_components(k_perp: float, zeta: float, a: float, eps: float, mu: float):
-    # curl curl'/omega^2 of the electric dyadic, rotated; see module docstring.
-    kappa, d = _kappa_d(k_perp, zeta, a, eps, mu)
-    h_xx = -mu * kappa / d
-    h_yy = -eps * mu**2 * zeta**2 / (kappa * d)
-    h_zz = mu * k_perp**2 / (kappa * d)
-    return h_xx, h_yy, h_zz
-
-
 def spectral_energy_density(
     k_perp: float,
     zeta: float,
@@ -156,10 +96,24 @@ def spectral_energy_density(
     mu: float = 1.0,
 ) -> EnergySpectralPoint:
     """Electric and magnetic halves of the spectral energy density at
-    z' -> z, computed independently from the two component sets."""
-    g = greens_components(0.0, 0.0, k_perp, zeta, cfg, eps, mu)
-    electric = 0.5 * eps * (g.g_xx + g.g_yy + g.g_zz)
-    h_xx, h_yy, h_zz = _magnetic_components(k_perp, zeta, cfg.a, eps, mu)
+    z' -> z, computed independently from the two component sets of the
+    module docstring (there cosh kappa(z - z') = 1).  Only cfg.a is read
+    from the cavity; the medium enters through eps and mu, so a
+    frequency-dependent eps(i zeta) can be passed in."""
+    kappa = math.sqrt(k_perp**2 + eps * mu * zeta**2)
+    if kappa == 0.0:
+        raise ValueError("kappa = 0 (k_perp = zeta = 0) is singular")
+    arg = 2.0 * kappa * cfg.a
+    # past the exponential range 1/d is an exact 0 in double precision
+    d = math.expm1(arg) if arg < 709.0 else math.inf
+    g_xx = -(kappa / eps) / d
+    g_yy = -(mu * zeta**2 / kappa) / d
+    g_zz = (k_perp**2 / (kappa * eps)) / d
+    electric = 0.5 * eps * (g_xx + g_yy + g_zz)
+    # curl curl'/omega^2 of the electric dyadic, rotated
+    h_xx = -mu * kappa / d
+    h_yy = -eps * mu**2 * zeta**2 / (kappa * d)
+    h_zz = mu * k_perp**2 / (kappa * d)
     magnetic = 0.5 * (h_xx + h_yy + h_zz) / mu
     return EnergySpectralPoint(electric_half=electric, magnetic_half=magnetic)
 
@@ -206,7 +160,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
         # wherever W is, while int zeta^3 J d sigma ~ 1/(n^3 a^4) is not
         zeta = math.exp(sigma)
         q = cfg.n * zeta
-        j = inner_acc.take(cosh_quad(1, -1, q, 2.0 * cfg.a * q, "bose", inner_tol))
+        j = inner_acc.take(cosh_quad(1, -1, q, 2.0 * cfg.a * q, 0, inner_tol))
         return pref * zeta * zeta * zeta * j
 
     outer = adaptive_quad(inner, math.log(_X_LOW / c), math.log(_EXP_SUBNORMAL / c), outer_tol)
@@ -253,7 +207,7 @@ def em_energy_finiteT(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> Energy
     def term(m: int) -> float:
         return m * m * math.log1p(-math.exp(-alpha * m))
 
-    series = sum_series(term, start=1, tol=tol)
+    series = sum_series(term, tol)
     pref = 4.0 * math.pi * cfg.n**2 * cfg.T**3
     value = pref * series.value
     # the rounding of alpha, amplified by |d ln W/d ln alpha| <= 3 + alpha,

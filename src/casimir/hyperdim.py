@@ -66,7 +66,8 @@ to a quarter of the rounding floor; that bound and a count of the
 roundings are part of err_estimate.  Past z ~ 700 the end stays at
 z cosh s1 = 745.2, where w underflows.  Where the mode sum or the Eulerian
 numbers leave the double range (D >= 95 at lambda/a = 0.1, D >= 173 at
-any lambda) mode_energy raises OverflowError.  Only the dispersive sum
+any lambda) mode_energy raises one OverflowError that names D and lambda,
+whichever float operation overflowed first.  Only the dispersive sum
 with eps_bar > 1 keeps one E-map integral per mode, split at the jump of
 n(k) at omega0, so at D = 3 it still raises ZeroDivisionError (the
 benchmark's reference, perfbench/oracle.py, has no D = 3 dispersive form
@@ -82,7 +83,7 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
 from .engine import adaptive_quad, cosh_quad, finite_diff, sum_series
-from .specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
+from .specfun import riemann_zeta, hurwitz_zeta, solid_angle
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
 __all__ = [
@@ -100,16 +101,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperConfig:
-    """Spacetime dimension (int or DimensionD), finite separation a and
-    index n; temperature is fixed at zero."""
+    """Spacetime dimension dim = D >= 3 (an int; d = D - 1 spatial
+    dimensions), finite separation a and index n; temperature is fixed at
+    zero."""
 
-    dim: DimensionD
+    dim: int
     a: float = 1.0
     n: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.dim, DimensionD):
-            object.__setattr__(self, "dim", DimensionD(self.dim))
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise ValueError(f"spacetime dimension must be an integer, got {self.dim!r}")
+        if self.dim < 3:
+            raise ValueError(f"spacetime dimension must be >= 3, got {self.dim}")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"separation a must be finite and > 0, got {self.a}")
         if not (math.isfinite(self.n) and self.n >= 1):
@@ -117,11 +121,11 @@ class HyperConfig:
 
     @property
     def D(self) -> int:
-        return self.dim.D
+        return self.dim
 
     @property
     def d(self) -> int:
-        return self.dim.d
+        return self.dim - 1
 
 
 def _pressure_prefactor(cfg: HyperConfig) -> float:
@@ -161,7 +165,7 @@ def pressure_quadrature(
 
         def inner(zeta: float) -> float:
             c = cfg.n * zeta
-            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, "bose", inner_tol))
+            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, 0, inner_tol))
 
         outer = adaptive_quad(inner, 0.0, math.inf, tol)
         value = pref * outer.value
@@ -271,41 +275,48 @@ def _mode_sum(
     # Across a gap each mode runs over t in (0, 1) with E = q + t/(1-t),
     # adaptive_quad's map of (q, inf), split at the t of omega0 so that both
     # pieces keep nodes near q.
-    d = cfg.d
-    a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
-    quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
-    split = math.inf if model is None else _photon_jump(model)
-    if split == math.inf:
-        base = math.pi / cfg.a
-        ev = cosh_quad(d - 2, 1, base, lam * base, d, quad_tol)
+    # Whatever float operation overflows first (the sum, a power in the
+    # integrand, the Eulerian numbers, Gamma(d/2)), the error names D and lambda
+    try:
+        d = cfg.d
+        a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
+        quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
+        split = math.inf if model is None else _photon_jump(model)
+        if split == math.inf:
+            base = math.pi / cfg.a
+            ev = cosh_quad(d - 2, 1, base, lam * base, d, quad_tol)
+            return EnergyValue(
+                a_d * ev.value, a_d * ev.err_estimate, "quadrature", ev.converged, ev.evaluations
+            )
+        power = 0.5 * (d - 3)
+        acc = Accumulator()
+
+        def term(m: int) -> float:
+            q = math.pi * m / cfg.a
+
+            def g(t: float) -> float:
+                u = 1.0 - t
+                if u == 0.0:  # a node of a panel next to t = 1 rounded onto E = inf
+                    return 0.0
+                e = q + t / u
+                base = (e * e - q * q) ** power if power != 0.0 else 1.0
+                return base * e * e * math.exp(-lam * e) / photon_index(model, e) / (u * u)
+
+            t_split = (split - q) / (1.0 + split - q) if q < split else 0.0
+            edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
+            pieces = Accumulator()
+            for lo, hi in zip(edges, edges[1:]):
+                pieces.take(adaptive_quad(g, lo, hi, quad_tol))
+            return acc.take(pieces)
+
+        series = acc.take(sum_series(term, tol))
         return EnergyValue(
-            a_d * ev.value, a_d * ev.err_estimate, "quadrature", ev.converged, ev.evaluations
+            a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
         )
-    power = 0.5 * (d - 3)
-    acc = Accumulator()
-
-    def term(m: int) -> float:
-        q = math.pi * m / cfg.a
-
-        def g(t: float) -> float:
-            u = 1.0 - t
-            if u == 0.0:  # a node of a panel next to t = 1 rounded onto E = inf
-                return 0.0
-            e = q + t / u
-            base = (e * e - q * q) ** power if power != 0.0 else 1.0
-            return base * e * e * math.exp(-lam * e) / photon_index(model, e) / (u * u)
-
-        t_split = (split - q) / (1.0 + split - q) if q < split else 0.0
-        edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
-        pieces = Accumulator()
-        for lo, hi in zip(edges, edges[1:]):
-            pieces.take(adaptive_quad(g, lo, hi, quad_tol))
-        return acc.take(pieces)
-
-    series = acc.take(sum_series(term, start=1, tol=tol))
-    return EnergyValue(
-        a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
-    )
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the regulated mode sum at D = {cfg.D}, lambda = {lam!r} leaves the double range"
+        ) from exc
 
 
 def _mode_energy_per_mode(
@@ -322,7 +333,7 @@ def _mode_energy_per_mode(
         q = math.pi * m / cfg.a
         return acc.take(cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol))
 
-    series = acc.take(sum_series(term, start=1, tol=tol))
+    series = acc.take(sum_series(term, tol))
     value, err = a_d * series / cfg.n, a_d * acc.err_estimate / cfg.n
     return EnergyValue(value, err, "quadrature", acc.converged, acc.evaluations)
 
@@ -330,7 +341,8 @@ def _mode_energy_per_mode(
 def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
     """Exponentially regulated vacuum-mode energy at a finite cutoff
     lambda > 0; the medium enters only through the overall 1/n.  Raises
-    OverflowError where the sum leaves the double range."""
+    OverflowError, naming D and lambda, where the sum leaves the double
+    range."""
     _check_cutoff(lam)
     # 1/n outside the weight: cosh_quad's tail bound is tight for w = Li_(-d)
     # and n times too large for Li_(-d)/n

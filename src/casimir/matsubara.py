@@ -33,9 +33,9 @@ is not charged 4 ulp(0) times T^2 u).  F, P and U all read this kernel,
 so no production route needs quadrature or extended precision.  Below
 T0_LIMIT_NAT, T = 0 included, where S'(u) ~ u^-2 would leave the double
 range, F, U and P are their T = 0 closed forms, equal to them there to
-rounding.  Every route returns the engine's EnergyValue (re-exported
-here with METHOD_TAGS), whose evaluations count the engine work behind
-it: 0 for the kernel and the closed forms.
+rounding.  Every route returns casimir.engine's EnergyValue, whose
+evaluations count the engine work behind it: 0 for the kernel and the
+closed forms.
 
 Each production quantity keeps independent check routes (casimir
 crosscheck).  For F and P they are the per-term quadrature of I (and,
@@ -79,14 +79,12 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import METHOD_TAGS, ROUNDING, UNDERFLOW, DEFAULT_TOL, Accumulator, EnergyValue
+from .engine import ROUNDING, UNDERFLOW, DEFAULT_TOL, Accumulator, EnergyValue
 from .engine import Tolerance, _left_sum, adaptive_quad, finite_diff, sum_series
 from .specfun import riemann_zeta
 
 __all__ = [
     "CavityConfig",
-    "EnergyValue",
-    "METHOD_TAGS",
     "free_energy",
     "free_energy_quad",
     "free_energy_lowT",
@@ -159,7 +157,7 @@ def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
         return acc.take(adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol))
 
     half_m0 = 0.5 * term(0)
-    series = acc.take(sum_series(term, start=1, tol=tol))
+    series = acc.take(sum_series(term, tol))
     pref = cfg.T / math.pi
     value = pref * (half_m0 + series)
     return EnergyValue(value, pref * acc.err_estimate, "quadrature", acc.converged, acc.evaluations)
@@ -316,7 +314,7 @@ def internal_energy_direct(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> E
     def term(m: int) -> float:
         return _stable_coth_over_sinh2(x1 * m) / m
 
-    series = sum_series(term, start=1, tol=tol)
+    series = sum_series(term, tol)
     pref = -math.pi * cfg.n**2 * cfg.T**3
     value = pref * series.value
     # the rounding of x1, amplified by |d ln U/d ln x1| <= 3 + 2 x1, and

@@ -11,26 +11,8 @@ deliver at least 12 significant digits on their stated domains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["DimensionD", "riemann_zeta", "hurwitz_zeta", "solid_angle"]
-
-
-@dataclass(frozen=True)
-class DimensionD:
-    """Spacetime dimension D >= 3; d = D - 1 spatial dimensions."""
-
-    D: int
-
-    def __post_init__(self):
-        if not isinstance(self.D, int) or isinstance(self.D, bool):
-            raise ValueError(f"spacetime dimension must be an integer, got {self.D!r}")
-        if self.D < 3:
-            raise ValueError(f"spacetime dimension must be >= 3, got {self.D}")
-
-    @property
-    def d(self) -> int:
-        return self.D - 1
+__all__ = ["riemann_zeta", "hurwitz_zeta", "solid_angle"]
 
 
 def hurwitz_zeta(s: float, q: float) -> float:

@@ -178,7 +178,12 @@ def test_criterion_09_anomaly_structure():
 
 
 def test_criterion_10_pressure_density_relation(xc):
-    worst_id = worst_rel(xc, (f"(D-1)w1=P@D={D}" for D in (4, 5, 6)))
+    # (D-1) w1 of the profile against the pressure quadrature of the P_quad rows
+    ratios = [
+        (D - 1) * density_profile(HyperConfig(dim=D), [0.5]).w1 / xc[f"P_quad=P_closed@D={D}"]["lhs"]
+        for D in (4, 5, 6)
+    ]
+    worst_id = max(abs(r - 1.0) for r in ratios)
     worst_fd = worst_rel(xc, (f"-d(a*w1)/da=P@D={D}" for D in (4, 5, 6)))
     ok = worst_id <= 1e-12 and worst_fd <= 1e-8
     assert report(10, ok, f"(D-1)w1: {worst_id:.2e} (<=1e-12); -d(a w1)/da: {worst_fd:.2e} (<=1e-8)")

@@ -178,6 +178,8 @@ class TestExitCodes:
             ["pressure", "--T", "0", "--a", "1e-100"],  # ZeroDivisionError
             ["cutoff-sum", "--D", "95"],  # OverflowError: the mode sum passes 1.8e308
             ["cutoff-sum", "--D", "200"],  # OverflowError: the Eulerian numbers of A_199 do
+            ["cutoff-sum", "--D", "150"],  # OverflowError: a power in the integrand does
+            ["cutoff-sum", "--D", "400"],  # OverflowError: Gamma(d/2) does
         ],
     )
     def test_arithmetic_failure_exits_one(self, capsys, argv):
@@ -186,6 +188,12 @@ class TestExitCodes:
         assert code == 1
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        if argv[0] == "cutoff-sum":
+            # one message, whichever operation overflowed first
+            assert captured.err == (
+                f"error: OverflowError: the regulated mode sum at D = {argv[2]}, "
+                "lambda = 0.1 leaves the double range\n"
+            )
 
     def test_iteration_budget_does_not_touch_circuit(self, capsys):
         # the eigenfrequency is a closed form, so no iteration budget applies

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from casimir import checks, hyperdim, matsubara
+from casimir import checks, circuit, hyperdim, matsubara
 
 DELTA = 1e-8
 
@@ -34,3 +34,16 @@ def test_pressure_T0_moves_a_row(monkeypatch):
     # pressure --T 0 at D = 4 prints matsubara.pressure's closed form
     monkeypatch.setattr(matsubara, "pressure", _scaled(matsubara.pressure, lambda c: c.T == 0))
     assert "P_T0=P_closed@D=4" in _failing_rows()
+
+
+def test_free_energy_lowT_moves_a_row(monkeypatch):
+    # below the naT = 0.3 split free_energy reads the dual side of the kernel
+    monkeypatch.setattr(matsubara, "free_energy", _scaled(matsubara.free_energy, lambda c: c.naT < 0.3))
+    assert "F=F_lowT@naT=0.05" in _failing_rows()
+
+
+def test_capacitance_derivative_moves_a_row(monkeypatch):
+    # circuit prints C + omega dC/d omega / 2; the adiabatic row sees dC/d omega only at 1e-2
+    dC = circuit.CircuitSpec.dC_domega
+    monkeypatch.setattr(circuit.CircuitSpec, "dC_domega", lambda spec, w: dC(spec, w) * (1.0 + DELTA))
+    assert "circuit:dC_domega=finite_diff" in _failing_rows()

@@ -31,9 +31,9 @@ BRANCH_EPS = (1.0 + 1e-12, 2.0, 4.0)
 
 
 def _mode_residual(model, w, k):
-    # |n(omega) omega - k| at the float omega; delta = 0 because the
+    # |n(omega) omega - k| at the float omega; unguarded because the
     # weak-coupling roots hug the resonance
-    return abs(math.sqrt(eps_of_omega(model, w, delta=0.0)) * w - k)
+    return abs(math.sqrt(dispersion._eps_real_unguarded(model, w)) * w - k)
 
 
 class TestLorentzPermittivity:
@@ -49,9 +49,9 @@ class TestLorentzPermittivity:
         for omega in (9.6, 10.0, 10.4):
             with pytest.raises(ValueError):
                 eps_of_omega(MODEL, omega)
-        # configurable half-width: large positive below the pole, negative above
-        assert eps_of_omega(MODEL, 9.6, delta=0.01) > 10.0
-        assert eps_of_omega(MODEL, 10.4, delta=0.01) < 0.0
+        # the form behind the guard: large positive below the pole, negative above
+        assert dispersion._eps_real_unguarded(MODEL, 9.6) > 10.0
+        assert dispersion._eps_real_unguarded(MODEL, 10.4) < 0.0
 
     def test_imaginary_axis_monotone(self):
         zetas = [0.0, 0.5, 1.0, 5.0, 20.0, 100.0]

@@ -7,7 +7,6 @@ import pytest
 from casimir.engine import DEFAULT_TOL, _EXP_SUBNORMAL, Tolerance
 from casimir.matsubara import CavityConfig, internal_energy_direct
 from casimir.green_em import (
-    greens_components,
     spectral_energy_density,
     em_energy_T0,
     em_energy_T0_polar,
@@ -18,9 +17,7 @@ from casimir.green_em import (
 
 PI2_720 = math.pi**2 / 720.0
 
-# frozen: d = e^(2 sqrt 2) - 1 and the point values built on it
-D_SQRT2 = 15.918828678557897
-G_XX_POINT = -0.08883904657369616
+# frozen: d = e^(2 sqrt 2) - 1 and the point value built on it
 HALF_POINT = -0.04441952328684808  # -n^2 zeta^2/(kappa d) at k=zeta=n=a=1
 W_1_2 = -1.2226130309307815e-09     # W(a=1, T=2, n=1)
 
@@ -28,32 +25,20 @@ CFG0 = CavityConfig(a=1.0, T=0.0)
 
 
 class TestGreensComponents:
-    def test_equal_point_collapses_cosh(self):
-        g = greens_components(0.3, 0.3, 1.0, 1.0, CFG0)
-        assert g.g_xx == pytest.approx(-g.kappa / g.d_factor, rel=1e-15)
-
-    def test_frozen_point(self):
-        g = greens_components(0.0, 0.0, 1.0, 1.0, CFG0)
-        assert g.kappa == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert g.d_factor == pytest.approx(D_SQRT2, rel=1e-14)
-        assert g.g_xx == pytest.approx(G_XX_POINT, rel=1e-13)
+    """The electric components that spectral_energy_density sums at z = z'."""
 
     def test_component_sum_identity(self):
-        # eps (g_xx + g_yy + g_zz) = (-kappa^2 - n^2 zeta^2 + k^2)/(kappa d)
-        # = -2 n^2 zeta^2/(kappa d), also away from z = z'
-        for z, zp in [(0.2, 0.2), (0.1, 0.6)]:
-            for k, zeta, eps in [(1.0, 1.0, 1.0), (0.3, 2.0, 2.5)]:
-                g = greens_components(z, zp, k, zeta, CFG0, eps=eps)
-                total = eps * (g.g_xx + g.g_yy + g.g_zz)
-                ch = math.cosh(g.kappa * (z - zp))
-                expected = -2.0 * eps * zeta**2 * ch / (g.kappa * g.d_factor)
-                assert total == pytest.approx(expected, rel=1e-13)
+        # eps (g_xx + g_yy + g_zz) = (-kappa^2 - eps mu zeta^2 + k^2)/(kappa d)
+        # = -2 eps mu zeta^2/(kappa d), so the electric half is -eps mu zeta^2/(kappa d)
+        for k, zeta, eps, mu in [(1.0, 1.0, 1.0, 1.0), (0.3, 2.0, 2.5, 1.0), (2.0, 0.7, 1.5, 1.8)]:
+            p = spectral_energy_density(k, zeta, CFG0, eps=eps, mu=mu)
+            kappa = math.sqrt(k * k + eps * mu * zeta * zeta)
+            expected = -eps * mu * zeta**2 / (kappa * math.expm1(2.0 * kappa))
+            assert p.electric_half == pytest.approx(expected, rel=1e-13)
 
-    def test_rejects_singular_and_out_of_gap(self):
+    def test_rejects_singular(self):
         with pytest.raises(ValueError):
-            greens_components(0.0, 0.0, 0.0, 0.0, CFG0)
-        with pytest.raises(ValueError):
-            greens_components(-0.1, 0.0, 1.0, 1.0, CFG0)
+            spectral_energy_density(0.0, 0.0, CFG0)
 
 
 class TestSpectralDensity:

@@ -30,6 +30,17 @@ F6_HALF = 128.18522581004059
 QTOL = Tolerance(rel=1e-11, abs=0.0)
 
 
+class TestHyperConfig:
+    def test_spatial_dimension(self):
+        cfg = HyperConfig(dim=4)
+        assert (cfg.D, cfg.d) == (4, 3)
+
+    def test_rejects_low_or_noninteger(self):
+        for dim in (2, 4.5, True, "4"):
+            with pytest.raises(ValueError, match="spacetime dimension must be"):
+                HyperConfig(dim=dim)
+
+
 class TestPressure:
     def test_classic_value(self):
         assert pressure_closed(HyperConfig(dim=4)).value == pytest.approx(
@@ -323,7 +334,7 @@ class TestModeSumOnCoshMap:
         # D = 90 still holds 6e-15 of an 80-digit reference; at D = 95 the sum
         # passes the double range, and at D = 200 the Eulerian numbers of
         # Li_(-199) do: OverflowError, never a value
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=f"at D = {D}, lambda = 0.1 "):
             mode_energy(HyperConfig(dim=D), 0.1)
 
     @pytest.mark.parametrize("D", [3, 4, 5, 6])

@@ -8,12 +8,11 @@ import pytest
 
 import casimir
 from casimir import matsubara
-from casimir.engine import DEFAULT_TOL, Tolerance
+from casimir.engine import DEFAULT_TOL, EnergyValue, Tolerance
 from casimir.green_em import em_energy_finiteT
 from casimir.matsubara import (
     ROUTE_SPLIT_NAT,
     CavityConfig,
-    EnergyValue,
     free_energy,
     free_energy_quad,
     free_energy_lowT,

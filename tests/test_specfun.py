@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from casimir.specfun import DimensionD, riemann_zeta, hurwitz_zeta, solid_angle
+from casimir.specfun import riemann_zeta, hurwitz_zeta, solid_angle
 
 
 class TestRiemannZeta:
@@ -89,14 +89,3 @@ class TestSolidAngle:
             solid_angle(0)
         with pytest.raises(ValueError):
             solid_angle(2.5)
-
-
-class TestDimensionD:
-    def test_spatial_dimension(self):
-        assert DimensionD(4).d == 3
-
-    def test_rejects_low_or_noninteger(self):
-        with pytest.raises(ValueError):
-            DimensionD(2)
-        with pytest.raises(ValueError):
-            DimensionD(4.5)

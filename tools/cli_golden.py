@@ -100,6 +100,10 @@ CALLS = [
     ["internal-energy", "--T", "0.5", "--max-iter", "2"],
     ["circuit", "--max-iter", "2"],
     ["cutoff-sum", "--D", "3"],
+    # the regulated mode sum past the double range: one error whether the sum
+    # (D = 95) or Gamma(d/2) (D = 400) overflows first
+    ["cutoff-sum", "--D", "95"],
+    ["cutoff-sum", "--D", "400"],
     ["internal-energy", "--T", "1e300"],
     ["pressure", "--T", "0", "--a", "1e-100"],
     ["free-energy", "--T", "0", "--a", "1e-104", "--format", "json"],
