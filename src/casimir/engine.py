@@ -1,12 +1,14 @@
 """Generic numerical kernel: adaptive quadrature, series summation and
 Richardson-extrapolated central differences, each returning the
 package's one result type, EnergyValue.  A route that combines several
-results folds them through an Accumulator that it creates per call.
+results folds them through an Accumulator that it creates per call; a
+route whose integrand is itself an engine result runs on nested_quad.
 
 Everything here is a pure function of its inputs; the only shared state
 is the memo of cosh_quad's cut margin, itself a pure function of one
-integer, and the integrand cosh_quad builds (with its panel sum) is a
-fresh closure per call, so all routines are safe to call concurrently.
+integer, and the integrand cosh_quad builds (with its panel sum) and
+nested_quad's running floor are fresh per call, so all routines are safe
+to call concurrently.
 
 Semi-infinite integrals are handled by the variable change
 
@@ -28,6 +30,14 @@ Their integrand reaches adaptive_quad with its own panel sum, one function
 that evaluates the map, both powers and the weight inline at the 15 nodes,
 in the same order of operations as the generic rule, so every bit is the
 same at about four fifths of the cost per node.
+
+A nested integral (nested_quad) does not solve every inner integral to
+the same relative tolerance: each gets an absolute floor of a hundredth of
+the outer tolerance times the largest outer node seen so far, weighted by
+the map's Jacobian, so a node that adds little to the outer sum stops
+early.  The inner errors enter the estimate once, as the range times the
+largest weighted inner error, which bounds their effect on the outer sum
+since the Gauss-Legendre weights are positive.
 
 Float sums are plain left-to-right loops, never the builtin sum(), which
 is compensated from Python 3.12 on: the last bits, and the CLI's bytes,
@@ -53,6 +63,7 @@ __all__ = [
     "ROUNDING",
     "UNDERFLOW",
     "adaptive_quad",
+    "nested_quad",
     "cosh_quad",
     "sum_series",
     "finite_diff",
@@ -150,14 +161,13 @@ class EnergyValue:
 @dataclass(slots=True)
 class Accumulator:
     """Sums of the values, error estimates and evaluations of the results
-    taken, the AND of their convergence flags and the largest relative
-    error among them (rel_max).  One Accumulator can take another."""
+    taken and the AND of their convergence flags.  One Accumulator can
+    take another."""
 
     value: float = 0.0
     err_estimate: float = 0.0
     evaluations: int = 0
     converged: bool = True
-    rel_max: float = 0.0
 
     def take(self, result) -> float:
         """Fold result in and return its value."""
@@ -165,7 +175,6 @@ class Accumulator:
         self.err_estimate += result.err_estimate
         self.evaluations += result.evaluations
         self.converged = self.converged and result.converged
-        self.rel_max = max(self.rel_max, result.err_estimate / (abs(result.value) or math.inf))
         return result.value
 
 
@@ -251,6 +260,74 @@ def _adaptive_finite(rule, a: float, b: float, tol: Tolerance, max_panels: int) 
 
     converged = total_err <= tol.target(total)
     return EnergyValue(total, total_err, "quadrature", converged, 45 + 60 * max_panels)
+
+
+# Share of tol.rel times the largest outer node value that nested_quad grants
+# each inner integral as its absolute floor
+_INNER_SHARE = 1e-2
+
+
+def nested_quad(
+    inner: Callable[[float, float], EnergyValue],
+    lo: float,
+    hi: float,
+    tol: Tolerance = DEFAULT_TOL,
+) -> EnergyValue:
+    """Integrate over (lo, hi) an integrand that is itself an engine result;
+    hi may be math.inf.
+
+    inner(x, floor) returns the integrand at x as an EnergyValue, solved to
+    the caller's relative tolerance or to the absolute error floor,
+    whichever is larger.  The outer integral runs on adaptive_quad, with
+    its map x = lo + t/(1-t) of (lo, inf), jac = 1/(1-t)^2 (jac = 1 on a
+    finite range), and floor = 1e-2 tol.rel M/jac, M the largest finite
+    |value jac| of the nodes seen so far (0 at the first node): a node
+    that adds little to the outer sum is solved only to a hundredth of the
+    outer tolerance of the largest one.  The GL weights are positive and
+    sum to L = hi - lo (1 in t), so the inner errors move the outer sum by
+    at most L max(jac inner_err), which the error estimate adds to
+    adaptive_quad's.  converged is the AND of the outer and every inner
+    flag; evaluations sum the outer nodes' and the inner results'.  The
+    running M is state of this call only, and it makes the result
+    deterministic.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    if math.isinf(lo):
+        raise ValueError("lower limit must be finite")
+    share = _INNER_SHARE * tol.rel
+    peak = worst = 0.0
+    evaluations = 0
+    converged = True
+
+    def node(x: float, u2: float) -> float:
+        # the integrand at x on the outer variable, jac = 1/u2
+        nonlocal peak, worst, evaluations, converged
+        res = inner(x, share * peak * u2)
+        value = res.value / u2
+        if math.isfinite(value):  # an overflowed node ends convergence, not the floor
+            peak = max(peak, abs(value))
+        worst = max(worst, res.err_estimate / u2)
+        evaluations += res.evaluations
+        converged = converged and res.converged
+        return value
+
+    if math.isinf(hi):
+
+        def mapped(t: float) -> float:
+            u = 1.0 - t
+            return node(lo + t / u, u * u)
+
+        outer, length = adaptive_quad(mapped, 0.0, 1.0, tol), 1.0
+    else:
+        outer, length = adaptive_quad(lambda x: node(x, 1.0), lo, hi, tol), hi - lo
+    return EnergyValue(
+        outer.value,
+        outer.err_estimate + length * worst,
+        "quadrature",
+        outer.converged and converged,
+        outer.evaluations + evaluations,
+    )
 
 
 _EXP_UNDERFLOW = 745.2  # e^(-x) is exactly 0 in double precision past about 745.13

@@ -60,10 +60,12 @@ lambda = 0.1 and 85 292 at D = 12, lambda = 0.05.  That per-mode sum stays
 as the check route _mode_energy_per_mode (the crosscheck rows
 mode_energy=per_mode_sum@D=...).  The inner k integral of the cartesian
 pressure route is the same integral with q = n zeta, z = 2 a q and the
-Bose weight (k = 0).  The range ends at z cosh s1 = z + M, M = 39.8 at
-D = 3 up to 62.5 at D = 12, where a closed bound on the dropped tail falls
-to a quarter of the rounding floor; that bound and a count of the
-roundings are part of err_estimate.  Past z ~ 700 the end stays at
+Bose weight (k = 0), under engine.nested_quad, which stops each inner
+integral at an absolute floor scaled to the largest outer node so far.
+The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
+D = 12, where a closed bound on the dropped tail falls to a quarter of the
+rounding floor; that bound and a count of the roundings are part of
+err_estimate.  Past z ~ 700 the end stays at
 z cosh s1 = 745.2, where w underflows.  Where the mode sum or the Eulerian
 numbers leave the double range (D >= 95 at lambda/a = 0.1, D >= 173 at
 any lambda) mode_energy raises one OverflowError that names D and lambda,
@@ -82,7 +84,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, cosh_quad, finite_diff, sum_series
+from .engine import adaptive_quad, cosh_quad, finite_diff, nested_quad, sum_series
 from .specfun import riemann_zeta, hurwitz_zeta, solid_angle
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
@@ -140,8 +142,11 @@ def pressure_quadrature(
 
     route="polar" integrates the angular factor and the radial Bose-type
     integral separately; route="cartesian" does the nested (zeta, k) double
-    integral as written, k on the map k = n zeta sinh s, and adds the largest
-    inner relative error times |P| to its error.  Both must match pressure_closed.
+    integral as written, k on the map k = n zeta sinh s, on
+    engine.nested_quad, which solves each inner integral only to the floor
+    that its outer weight needs and adds the largest weighted inner error
+    to the outer one.  tol applies to the integral before the prefactor.
+    Both must match pressure_closed.
     """
     d = cfg.d
     pref = _pressure_prefactor(cfg)
@@ -160,19 +165,16 @@ def pressure_quadrature(
         converged, evaluations = ang.converged and rad.converged, ang.evaluations + rad.evaluations
         return EnergyValue(value, err, "quadrature", converged, evaluations)
     if route == "cartesian":
-        inner_tol = Tolerance(rel=min(tol.rel * 1e-2, 1e-12), abs=0.0, max_iter=tol.max_iter)
-        inner_acc = Accumulator()
+        inner_rel = min(tol.rel * 1e-2, 1e-12)
 
-        def inner(zeta: float) -> float:
+        def inner(zeta: float, floor: float) -> EnergyValue:
             c = cfg.n * zeta
-            return inner_acc.take(cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, 0, inner_tol))
+            inner_tol = Tolerance(rel=inner_rel, abs=floor, max_iter=tol.max_iter)
+            return cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, 0, inner_tol)
 
-        outer = adaptive_quad(inner, 0.0, math.inf, tol)
-        value = pref * outer.value
-        err = abs(pref) * outer.err_estimate + inner_acc.rel_max * abs(value)
-        converged = outer.converged and inner_acc.converged
-        evaluations = outer.evaluations + inner_acc.evaluations
-        return EnergyValue(value, err, "quadrature", converged, evaluations)
+        res = nested_quad(inner, 0.0, math.inf, tol)
+        err = abs(pref) * res.err_estimate
+        return EnergyValue(pref * res.value, err, "quadrature", res.converged, res.evaluations)
     raise ValueError(f"unknown route {route!r}")
 
 

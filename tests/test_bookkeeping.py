@@ -10,7 +10,7 @@ from casimir import dispersion, engine, green_em, hyperdim, matsubara
 from casimir.matsubara import CavityConfig
 
 MODULES = (matsubara, green_em, hyperdim, dispersion)
-ENGINE_CALLS = ("adaptive_quad", "cosh_quad", "sum_series", "finite_diff")
+ENGINE_CALLS = ("adaptive_quad", "nested_quad", "cosh_quad", "sum_series", "finite_diff")
 QUADRATURES = ("adaptive_quad", "cosh_quad")
 
 # the routes that fold inner results; each is cheap at these inputs
@@ -32,14 +32,21 @@ ROUTES = {
 
 
 def wrap_engine(monkeypatch, after):
-    """Route every module's engine bindings through after(name, result)."""
+    """Route every module's engine bindings through after(name, result, inner),
+    inner the results of the wrapped calls made while this one ran (those
+    of a nested_quad's integrand or of a series' terms)."""
+    frames = [[]]
     for mod in MODULES:
         for name in ENGINE_CALLS:
             fn = getattr(mod, name, None)
             if fn is getattr(engine, name):
 
                 def wrapper(*args, _fn=fn, _name=name, **kwargs):
-                    return after(_name, _fn(*args, **kwargs))
+                    frames.append([])
+                    res = _fn(*args, **kwargs)
+                    res = after(_name, res, frames.pop())
+                    frames[-1].append(res)
+                    return res
 
                 monkeypatch.setattr(mod, name, wrapper)
 
@@ -57,7 +64,7 @@ def test_one_unconverged_inner_result_is_reported(route, monkeypatch):
     assert ROUTES[route]().converged
     calls = []
 
-    def flag_second_quadrature(name, res):
+    def flag_second_quadrature(name, res, inner):
         if name in QUADRATURES:
             calls.append(res)
             if len(calls) == 2:
@@ -78,15 +85,21 @@ def test_one_unconverged_kernel_sum_is_reported():
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_evaluations_sum_every_engine_result(route, monkeypatch):
-    seen = []
+    counted = []
 
-    def record(name, res):
-        seen.append(res.evaluations)
+    def count(name, res, inner):
+        own = res.evaluations
+        if name == "nested_quad":
+            # its inner results are counted on their own; the rest is the
+            # outer adaptive_quad's, 45 + 60 * splits
+            own -= sum(r.evaluations for r in inner)
+            assert inner and own >= 45 and (own - 45) % 60 == 0
+        counted.append(own)
         return res
 
-    wrap_engine(monkeypatch, record)
+    wrap_engine(monkeypatch, count)
     res = ROUTES[route]()
-    assert res.evaluations == sum(seen) > 0
+    assert res.evaluations == sum(counted) > 0
 
 
 def test_closed_forms_and_kernel_spend_no_evaluations():

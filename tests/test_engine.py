@@ -9,7 +9,7 @@ import pytest
 
 import casimir
 from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
-from casimir.engine import adaptive_quad, cosh_quad, sum_series, finite_diff
+from casimir.engine import adaptive_quad, cosh_quad, nested_quad, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_integrand, _cosh_margin, _cosh_tail
 from casimir.engine import _cosh_rounding, _eulerian
 
@@ -313,14 +313,106 @@ class TestAccumulator:
         assert acc.take(EnergyValue(1.5, 0.25, "quadrature", True, 45)) == 1.5
         assert acc.take(EnergyValue(-0.5, 0.5, "direct_sum", False, 3)) == -0.5
         assert (acc.value, acc.err_estimate, acc.evaluations, acc.converged) == (1.0, 0.75, 48, False)
-        assert acc.rel_max == 1.0
         outer = Accumulator()
         assert outer.take(acc) == 1.0
         assert (outer.err_estimate, outer.evaluations, outer.converged) == (0.75, 48, False)
-        assert outer.rel_max == 0.75
-        # a zero value leaves rel_max as it was
-        outer.take(EnergyValue(0.0, 1.0, "quadrature"))
-        assert outer.rel_max == 0.75
+
+
+class TestNestedQuad:
+    def test_inner_errors_enter_once_weighted_by_the_range(self):
+        # every inner value is off by up to 1e-7 and says so: the outer sum
+        # can move by at most L * 1e-7, which the estimate adds to the outer one
+        tol = Tolerance(rel=1e-12, abs=0.0)
+
+        def f(x):
+            return x * x + 1e-7 * math.sin(50.0 * x)
+
+        res = nested_quad(lambda x, floor: EnergyValue(f(x), 1e-7, "quadrature", True, 7), 0.0, 2.0, tol)
+        outer = adaptive_quad(f, 0.0, 2.0, tol)
+        assert res.value == outer.value
+        assert res.err_estimate == outer.err_estimate + 2.0 * 1e-7
+        assert res.converged and res.evaluations == 8 * outer.evaluations
+        assert abs(res.value - 8.0 / 3.0) <= res.err_estimate
+
+    def test_floor_follows_the_largest_node_so_far(self):
+        tol = Tolerance(rel=1e-8, abs=0.0)
+        seen = []
+
+        def inner(x, floor):
+            seen.append((abs(math.sin(x)), floor))
+            return EnergyValue(math.sin(x), 0.0, "quadrature")
+
+        res = nested_quad(inner, 0.0, 3.0, tol)
+        assert res.value == pytest.approx(1.0 - math.cos(3.0), rel=1e-12)
+        peak = 0.0
+        for value, floor in seen:
+            assert floor == 1e-2 * tol.rel * peak
+            peak = max(peak, value)
+        assert seen[0][1] == 0.0 and seen[-1][1] > 0.0
+
+    def test_semi_infinite_range_weights_by_the_jacobian(self):
+        # on x = t/(1 - t) a node carries jac = (1 + x)^2: the floor divides
+        # by it and the inner error is multiplied by it
+        tol = Tolerance(rel=1e-10, abs=0.0)
+        seen = []
+
+        def inner(x, floor):
+            seen.append((x, floor))
+            return EnergyValue(math.exp(-x), 1e-9 * math.exp(-x), "quadrature", True, 1)
+
+        res = nested_quad(inner, 0.0, math.inf, tol)
+        outer = adaptive_quad(lambda x: math.exp(-x), 0.0, math.inf, tol)
+        assert res.value == outer.value
+        worst = max(1e-9 * math.exp(-x) * (1.0 + x) ** 2 for x, _ in seen)
+        assert res.err_estimate - outer.err_estimate == pytest.approx(worst, rel=1e-12)
+        peak = 0.0
+        for x, floor in seen:
+            jac = (1.0 + x) ** 2
+            assert floor == pytest.approx(1e-2 * tol.rel * peak / jac, rel=1e-12, abs=0.0)
+            peak = max(peak, math.exp(-x) * jac)
+
+    def test_a_tiny_node_at_relative_error_one_costs_its_own_error(self):
+        # the node where e^(-x) is below 1e-20 is wholly uncertain; the
+        # largest relative inner error times |value| would charge all of
+        # the value, the weighted bound charges L times that node's 1e-20
+        tiny = []
+
+        def inner(x, floor):
+            v = math.exp(-x)
+            if v < 1e-20:
+                tiny.append(v)
+            return EnergyValue(v, v if v < 1e-20 else 1e-14 * v, "quadrature", True, 1)
+
+        res = nested_quad(inner, 0.0, 50.0, Tolerance(rel=1e-10, abs=0.0))
+        outer = adaptive_quad(lambda x: math.exp(-x), 0.0, 50.0, Tolerance(rel=1e-10, abs=0.0))
+        assert tiny  # the case is present
+        assert res.err_estimate <= outer.err_estimate + 50.0 * 1e-14
+        assert res.err_estimate <= 1e-11 * abs(res.value)
+
+    def test_flags_and_counts_fold_every_inner_result(self):
+        calls = []
+
+        def inner(x, floor):
+            calls.append(x)
+            return EnergyValue(1.0, 0.0, "quadrature", len(calls) != 20, 3)
+
+        res = nested_quad(inner, -1.0, 1.0)
+        assert res.value == pytest.approx(2.0, rel=1e-15)
+        assert not res.converged
+        assert res.evaluations == 45 + 3 * len(calls) and len(calls) == 45
+
+    def test_repeat_calls_are_bit_identical(self):
+        def inner(x, floor):
+            return cosh_quad(1, -1, 1.0, 1.0 + x, 0, Tolerance(rel=1e-12, abs=floor))
+
+        first = nested_quad(inner, 0.0, math.inf)
+        assert first.converged
+        assert nested_quad(inner, 0.0, math.inf) == first
+
+    def test_rejects_bad_ranges(self):
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                nested_quad(lambda x, floor: EnergyValue(1.0, 0.0, "quadrature"), lo, hi)
 
 
 class TestSumSeries:
