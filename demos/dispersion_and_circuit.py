@@ -11,20 +11,17 @@ with every d/d omega term cancelling.
 
 import math
 
-from casimir import (
-    CavityConfig,
+from casimir.circuit import CircuitSpec, adiabatic_variation_check, circuit_energy, eigenfrequency
+from casimir.dispersion import (
     CutoffSpec,
     LorentzModel,
-    CircuitSpec,
-    eps_of_omega,
-    eps_imag_axis,
     dispersive_mode_solve,
-    w_I_energy,
+    eps_imag_axis,
+    eps_of_omega,
     w2_density_cutoff,
-    eigenfrequency,
-    circuit_energy,
-    adiabatic_variation_check,
+    w_I_energy,
 )
+from casimir.matsubara import CavityConfig
 
 model = LorentzModel(eps_bar=2.0, omega0=10.0)
 

@@ -8,17 +8,17 @@ raw mode sums, including the dispersive photon relation.
 
 import math
 
-from casimir import (
+from casimir.dispersion import LorentzModel
+from casimir.engine import Tolerance
+from casimir.hyperdim import (
     HyperConfig,
-    LorentzModel,
-    Tolerance,
-    pressure_quadrature,
-    pressure_closed,
-    density_profile,
-    pressure_from_w1,
-    mode_energy,
     cutoff_mode_energy,
+    density_profile,
     dispersive_hyper_energy,
+    mode_energy,
+    pressure_closed,
+    pressure_from_w1,
+    pressure_quadrature,
 )
 
 print("Pressure between hyperplanes (a = 1, n = 1):")

@@ -10,15 +10,14 @@ Finally checks W(T) = U(T) at finite temperature.
 
 import math
 
-from casimir import (
-    CavityConfig,
-    Tolerance,
-    spectral_energy_density,
+from casimir.engine import Tolerance
+from casimir.green_em import (
     em_energy_T0,
     em_energy_T0_polar,
     em_energy_finiteT,
-    internal_energy_direct,
+    spectral_energy_density,
 )
+from casimir.matsubara import CavityConfig, internal_energy_direct
 
 cfg = CavityConfig(a=1.0, T=0.0)
 

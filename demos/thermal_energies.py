@@ -9,15 +9,15 @@ at high temperature.  Natural units; energies per unit plate area.
 
 import math
 
-from casimir import (
+from casimir.matsubara import (
     CavityConfig,
     free_energy,
     free_energy_lowT,
     internal_energy_direct,
-    internal_energy_resummed,
     internal_energy_from_F,
-    internal_energy_lowT,
     internal_energy_highT_asymptote,
+    internal_energy_lowT,
+    internal_energy_resummed,
 )
 
 print("Three routes to the internal energy U(a=1, n=1)")

@@ -12,6 +12,7 @@ from . import matsubara, green_em, dispersion, circuit as circuit_mod, hyperdim
 from .matsubara import CavityConfig
 from .dispersion import LorentzModel, CutoffSpec
 from .hyperdim import HyperConfig
+from .specfun import riemann_zeta
 
 __all__ = ["crosscheck"]
 
@@ -157,6 +158,22 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
         dispersion.w_I_energy(stiff, cfg0, tol).value,
         matsubara.free_energy(CavityConfig(a=1.0, T=0.0, n=2.0), tol).value,
         1e-6,
+    )
+    check(
+        "w_I(omega0=1e5)=static",
+        dispersion.w_I_energy(LorentzModel(eps_bar=4.0, omega0=1e5), cfg0, tol).value,
+        matsubara.free_energy(CavityConfig(a=1.0, T=0.0, n=2.0), tol).value,
+        1e-9,
+    )
+    # W_II -> -12 (eps_bar - 1) zeta(6) / (pi^2 omega0^2 (2a sqrt(eps_bar))^5) as
+    # omega0 -> inf; the relative deviation falls like (a omega0)^-2 (9.3e-11 here)
+    stiff = LorentzModel(eps_bar=2.0, omega0=1e5)
+    check(
+        "W_II(omega0->inf)=closed",
+        dispersion.w2_density_cutoff(stiff, cfg0, CutoffSpec(20.0), tol).value.value,
+        -12.0 * (stiff.eps_bar - 1.0) * riemann_zeta(6)
+        / (math.pi**2 * stiff.omega0**2 * (2.0 * cfg0.a * math.sqrt(stiff.eps_bar)) ** 5),
+        1e-9,
     )
     soft = LorentzModel(eps_bar=2.0, omega0=0.2)
     scan = dispersion.w2_density_cutoff(soft, cfg0, CutoffSpec(2.0), tol).scan

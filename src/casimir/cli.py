@@ -4,6 +4,10 @@ JSON for offline consumption (no plotting here).
 
 free-energy, internal-energy, em-energy (the field energy W = U) and
 pressure at D = 4 print one casimir.matsubara route each at every T >= 0.
+Each command imports the modules it reads when it runs, so importing this
+module loads casimir.engine alone: the D = 4 cavity commands load
+matsubara (and its specfun), and only crosscheck loads green_em and
+checks.
 
 Numbers are printed with 17 significant digits so a double round-trips
 exactly; identical invocations produce byte-identical output.  JSON
@@ -33,10 +37,6 @@ import os
 import sys
 
 from .engine import EnergyValue, Tolerance
-from . import matsubara, dispersion, circuit as circuit_mod, hyperdim, checks
-from .matsubara import CavityConfig
-from .dispersion import LorentzModel, CutoffSpec
-from .hyperdim import HyperConfig
 
 __all__ = ["main"]
 
@@ -79,11 +79,12 @@ _COLUMNS = {
 }
 
 
+# the casimir.matsubara route each D = 4 cavity command prints
 _CAVITY_ROUTES = {
-    "free-energy": matsubara.free_energy,
-    "internal-energy": matsubara.internal_energy,
-    "em-energy": matsubara.internal_energy,
-    "pressure": matsubara.pressure,
+    "free-energy": "free_energy",
+    "internal-energy": "internal_energy",
+    "em-energy": "internal_energy",
+    "pressure": "pressure",
 }
 
 
@@ -130,30 +131,40 @@ def _energy_row(cols, params, ev) -> dict:
     return row
 
 
-def _lorentz(params) -> LorentzModel:
+def _lorentz(params):
+    from . import dispersion
+
     eps_bar = params["eps_bar"] if params["eps_bar"] is not None else 2.0
-    return LorentzModel(eps_bar=eps_bar, omega0=params["omega0"])
+    return dispersion.LorentzModel(eps_bar=eps_bar, omega0=params["omega0"])
 
 
 def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
     """Rows for one parameter point of any command but crosscheck."""
     if command in _CAVITY_ROUTES:
-        cfg = CavityConfig(a=params["a"], T=params["T"], n=params["n"])
+        from . import matsubara
+
+        cfg = matsubara.CavityConfig(a=params["a"], T=params["T"], n=params["n"])
         if command == "pressure" and params["D"] != 4:
             if cfg.T > 0:
                 raise UsageError("finite-temperature pressure is only available at D = 4")
-            ev = hyperdim.pressure_closed(HyperConfig(dim=params["D"], a=params["a"], n=params["n"]))
+            from . import hyperdim
+
+            hcfg = hyperdim.HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
+            ev = hyperdim.pressure_closed(hcfg)
         else:
-            ev = _CAVITY_ROUTES[command](cfg, tol)
+            ev = getattr(matsubara, _CAVITY_ROUTES[command])(cfg, tol)
         return [_energy_row(_COLUMNS[command], params, ev)]
     if command == "dispersive":
+        from . import dispersion, matsubara
+
         model = _lorentz(params)
-        cfg = CavityConfig(a=params["a"], T=0.0)
+        cfg = matsubara.CavityConfig(a=params["a"], T=0.0)
         resolved = dict(params, eps_bar=model.eps_bar)
         if params["omega_max"] is None:
             ev = dispersion.w_I_energy(model, cfg, tol)
             return [_energy_row(_COLUMNS[command], resolved, ev)]
-        res = dispersion.w2_density_cutoff(model, cfg, CutoffSpec(params["omega_max"]), tol)
+        spec = dispersion.CutoffSpec(params["omega_max"])
+        res = dispersion.w2_density_cutoff(model, cfg, spec, tol)
         cols = _COLUMNS[command] + ("omega_max",)
         rows = []
         for om, val in res.scan:
@@ -162,18 +173,22 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
             rows.append(_energy_row(cols, p, ev))
         return rows
     if command == "circuit":
+        from . import circuit
+
         model = _lorentz(params)
-        spec = circuit_mod.CircuitSpec(
+        spec = circuit.CircuitSpec(
             L=params["L"],
             a=params["a"],
             A_plate=params["C0"],
             eps_model=model,
             phi_sq_bar=params["phi_sq"],
         )
-        ev = circuit_mod.circuit_energy(spec)
+        ev = circuit.circuit_energy(spec)
         return [_energy_row(_COLUMNS[command], dict(params, eps_bar=model.eps_bar), ev)]
+    from . import hyperdim
+
     if command == "cutoff-sum":
-        hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
+        hcfg = hyperdim.HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
         if params["eps_bar"] is None:
             ev = hyperdim.mode_energy(hcfg, params["cutoff_lambda"], tol)
             return [_energy_row(_COLUMNS[command], params, ev)]
@@ -184,7 +199,7 @@ def _evaluate(command: str, params: dict, tol: Tolerance) -> list[dict]:
     # profile: u, w1, w2, raw and regularized totals at 99 interior points
     if params["D"] < 4:
         raise UsageError("profile requires D >= 4")
-    hcfg = HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
+    hcfg = hyperdim.HyperConfig(dim=params["D"], a=params["a"], n=params["n"])
     prof = hyperdim.density_profile(hcfg, [i / 100.0 for i in range(1, 100)])
     head = {k: params[k] for k in ("a", "n", "D")}
     return [
@@ -239,6 +254,8 @@ def _run(command: str, params: dict, sweep: str | None, tol: Tolerance) -> tuple
     returns (exit_code, rows)."""
     key, points = _sweep_points(command, sweep) if sweep else (None, [None])
     if command == "crosscheck":
+        from . import checks
+
         rows = checks.crosscheck(tol)
         return (0 if all(r["passed"] for r in rows) else 1), rows
     rows = []

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from casimir import checks, circuit, hyperdim, matsubara
+from casimir import checks, circuit, dispersion, hyperdim, matsubara
 
 DELTA = 1e-8
 
@@ -28,6 +28,35 @@ def test_mode_energy_moves_a_row(D, monkeypatch):
     # cutoff-sum prints mode_energy; at D = 5 and 8 only the per-mode rows see it
     monkeypatch.setattr(hyperdim, "mode_energy", _scaled(hyperdim.mode_energy, lambda c: c.D == D))
     assert f"mode_energy=per_mode_sum@D={D}" in _failing_rows()
+
+
+@pytest.mark.parametrize("D", [5, 6, 8])
+def test_pressure_closed_moves_a_row(D, monkeypatch):
+    # pressure --T 0 --D prints hyperdim.pressure_closed away from D = 4
+    scaled = _scaled(hyperdim.pressure_closed, lambda c: c.D == D)
+    monkeypatch.setattr(hyperdim, "pressure_closed", scaled)
+    assert f"P_quad=P_closed@D={D}" in _failing_rows()
+
+
+def test_w_I_energy_moves_a_row(monkeypatch):
+    # dispersive prints w_I; the row at omega0 = 1e4 sees a change only from 1e-6
+    monkeypatch.setattr(dispersion, "w_I_energy", _scaled(dispersion.w_I_energy, lambda model: True))
+    assert "w_I(omega0=1e5)=static" in _failing_rows()
+
+
+def test_w2_density_cutoff_moves_a_row(monkeypatch):
+    # dispersive --omega-max prints the scan of W_II, so the scan scales with the value
+    w2 = dispersion.w2_density_cutoff
+
+    def scaled(*args, **kwargs):
+        res = w2(*args, **kwargs)
+        return dispersion.CutoffEnergyResult(
+            dataclasses.replace(res.value, value=res.value.value * (1.0 + DELTA)),
+            tuple((om, v * (1.0 + DELTA)) for om, v in res.scan),
+        )
+
+    monkeypatch.setattr(dispersion, "w2_density_cutoff", scaled)
+    assert "W_II(omega0->inf)=closed" in _failing_rows()
 
 
 def test_pressure_T0_moves_a_row(monkeypatch):

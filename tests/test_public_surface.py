@@ -2,8 +2,9 @@
 that another module of the package reads: each name in a module's
 ``__all__`` is defined there and named in some other ``src/casimir``
 module (``cli`` and ``checks`` included), unless ALLOWED gives the reason
-it stands alone.  ``__init__`` and ``__main__`` only re-expose names, so a
-name they mention is not thereby used."""
+it stands alone.  ``__init__`` binds ``__version__`` alone and
+``__main__`` only calls ``cli.main``, so a name they mention is not
+thereby used."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,18 @@ def _unused_public_names() -> tuple[set[str], list[str]]:
             ):
                 unused.add(f"{module}.{name}")
     return unused, undefined
+
+
+def test_package_root_binds_only_its_version():
+    # the root re-exports nothing: every name is imported from its submodule
+    tree = _trees()["__init__"]
+    imported = {
+        (alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert _defined(tree) | imported == {"__version__"}
 
 
 def test_every_submodule_declares_its_surface():

@@ -12,8 +12,9 @@ fresh temporary directory holding the config files below, with
 ``CASIMIR_CONFIG`` unset and ``COLUMNS=80`` so argparse's help text wraps
 the same everywhere.  Two trees agree when ``diff`` finds their OUT.json
 files equal.  ``tools/golden.json`` is the record of the committed tree;
-CI records the set on every interpreter it tests and diffs it against that
-file, and a change that moves bytes records it again in the same commit.
+``tests/test_golden.py`` records the set in tier-1 and compares it with
+that file, CI diffs a fresh record against it on every interpreter it
+tests, and a change that moves bytes records it again in the same commit.
 
 ``--compare`` prints each invocation whose record differs between two
 OUT.json files, with the changed lines of stdout (and of a written file)
@@ -100,6 +101,8 @@ CALLS = [
     ["internal-energy", "--T", "0.5", "--max-iter", "2"],
     ["circuit", "--max-iter", "2"],
     ["cutoff-sum", "--D", "3"],
+    # the dispersive mode sum at D = 3, where the gap path divides by zero
+    ["cutoff-sum", "--D", "3", "--eps-bar", "2", "--omega0", "1", "--cutoff-lambda", "0.5"],
     # the regulated mode sum past the double range: one error whether the sum
     # (D = 95) or Gamma(d/2) (D = 400) overflows first
     ["cutoff-sum", "--D", "95"],
