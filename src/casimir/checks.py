@@ -185,7 +185,7 @@ def crosscheck(tol: Tolerance = DEFAULT_TOL) -> list[dict]:
         relative=False,
     )
     # the regulated mode sum, summed over modes under one integral, against
-    # one integral per mode summed by sum_series
+    # one integral per mode summed by nested_sum
     for D in (4, 5, 8):
         hcfg = HyperConfig(dim=D)
         check(

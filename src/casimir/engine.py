@@ -2,13 +2,14 @@
 Richardson-extrapolated central differences, each returning the
 package's one result type, EnergyValue.  A route that combines several
 results folds them through an Accumulator that it creates per call; a
-route whose integrand is itself an engine result runs on nested_quad.
+route whose integrand is itself an engine result runs on nested_quad, and
+a series whose terms are engine results on nested_sum.
 
 Everything here is a pure function of its inputs; the only shared state
 is the memo of cosh_quad's cut margin, itself a pure function of one
-integer, and the integrand cosh_quad builds (with its panel sum) and
-nested_quad's running floor are fresh per call, so all routines are safe
-to call concurrently.
+integer, and the integrand cosh_quad builds (with its panel sum) and the
+running floors of nested_quad and nested_sum are fresh per call, so all
+routines are safe to call concurrently.
 
 Semi-infinite integrals are handled by the variable change
 
@@ -37,7 +38,9 @@ the outer tolerance times the largest outer node seen so far, weighted by
 the map's Jacobian, so a node that adds little to the outer sum stops
 early.  The inner errors enter the estimate once, as the range times the
 largest weighted inner error, which bounds their effect on the outer sum
-since the Gauss-Legendre weights are positive.
+since the Gauss-Legendre weights are positive.  Its series twin
+nested_sum floors each term at the largest term so far and adds every
+term's error, as each enters the sum with weight one.
 
 Float sums are plain left-to-right loops, never the builtin sum(), which
 is compensated from Python 3.12 on: the last bits, and the CLI's bytes,
@@ -66,6 +69,7 @@ __all__ = [
     "nested_quad",
     "cosh_quad",
     "sum_series",
+    "nested_sum",
     "finite_diff",
 ]
 
@@ -633,6 +637,30 @@ def sum_series(term: Callable[[int], float], tol: Tolerance = DEFAULT_TOL) -> En
     value = partial + comp if math.isfinite(partial) else partial
     err = _tail_bound(last, prev) + ROUNDING * magnitude + UNDERFLOW * count
     return EnergyValue(value, err, "direct_sum", converged and err <= tol.target(value), count)
+
+
+def nested_sum(term: Callable[[int, float], EnergyValue], tol: Tolerance = DEFAULT_TOL) -> EnergyValue:
+    """sum_series over terms that are themselves engine results.
+
+    term(m, floor) returns term m as an EnergyValue or Accumulator, solved
+    to its own relative tolerance or to the absolute floor 1e-2 tol.rel P,
+    whichever is larger, P the largest finite |value| of the terms so far
+    (0 for the first).  The result folds every term's err_estimate,
+    evaluations and flag into sum_series' (its count of terms included).
+    """
+    share = _INNER_SHARE * tol.rel
+    peak = 0.0
+    acc = Accumulator()
+
+    def value(m: int) -> float:
+        nonlocal peak
+        res = term(m, share * peak)
+        if math.isfinite(res.value):  # an overflowed term ends convergence, not the floor
+            peak = max(peak, abs(res.value))
+        return acc.take(res)
+
+    series = acc.take(sum_series(value, tol))
+    return EnergyValue(series, acc.err_estimate, "direct_sum", acc.converged, acc.evaluations)
 
 
 def _tail_bound(last: float, prev: float) -> float:

@@ -58,10 +58,11 @@ polynomial: mode_energy is one cosh_quad (q = pi/a, z = t, weight d) of
 quadrature per mode inside sum_series took 16 112 evaluations at D = 4,
 lambda = 0.1 and 85 292 at D = 12, lambda = 0.05.  That per-mode sum stays
 as the check route _mode_energy_per_mode (the crosscheck rows
-mode_energy=per_mode_sum@D=...).  The inner k integral of the cartesian
-pressure route is the same integral with q = n zeta, z = 2 a q and the
-Bose weight (k = 0), under engine.nested_quad, which stops each inner
-integral at an absolute floor scaled to the largest outer node so far.
+mode_energy=per_mode_sum@D=...), on engine.nested_sum, which stops each
+mode at an absolute floor scaled to the largest mode so far.  The inner k
+integral of the cartesian pressure route is the same integral with
+q = n zeta, z = 2 a q and the Bose weight (k = 0), under
+engine.nested_quad, which scales each inner floor to the largest outer node.
 The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
 D = 12, where a closed bound on the dropped tail falls to a quarter of the
 rounding floor; that bound and a count of the roundings are part of
@@ -71,10 +72,11 @@ numbers leave the double range (D >= 95 at lambda/a = 0.1, D >= 173 at
 any lambda) mode_energy raises one OverflowError that names D and lambda,
 whichever float operation overflowed first.  Only the dispersive sum
 with eps_bar > 1 keeps one E-map integral per mode, split at the jump of
-n(k) at omega0, so at D = 3 it still raises ZeroDivisionError (the
-benchmark's reference, perfbench/oracle.py, has no D = 3 dispersive form
-and would fail on a D = 3 value).  With eps_bar = 1, n(k) = 1 has no jump
-and the dispersive sum is the vacuum one, bit for bit.
+n(k) at omega0, also on engine.nested_sum, so at D = 3 it still raises
+ZeroDivisionError (the benchmark's reference, perfbench/oracle.py, has no
+D = 3 dispersive form and would fail on a D = 3 value).  With eps_bar = 1,
+n(k) = 1 has no jump and the dispersive sum is the vacuum one, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import DEFAULT_TOL, Accumulator, EnergyValue, Tolerance
-from .engine import adaptive_quad, cosh_quad, finite_diff, nested_quad, sum_series
+from .engine import adaptive_quad, cosh_quad, finite_diff, nested_quad, nested_sum
 from .specfun import riemann_zeta, hurwitz_zeta, solid_angle
 from .dispersion import CutoffEnergyResult, LorentzModel, _photon_jump, photon_index
 
@@ -276,7 +278,7 @@ def _mode_sum(
     # t = lam pi/a, so the whole sum is one cosh_quad with the weight Li_(-d).
     # Across a gap each mode runs over t in (0, 1) with E = q + t/(1-t),
     # adaptive_quad's map of (q, inf), split at the t of omega0 so that both
-    # pieces keep nodes near q.
+    # pieces keep nodes near q; both take the floor nested_sum grants the mode.
     # Whatever float operation overflows first (the sum, a power in the
     # integrand, the Eulerian numbers, Gamma(d/2)), the error names D and lambda
     try:
@@ -291,9 +293,8 @@ def _mode_sum(
                 a_d * ev.value, a_d * ev.err_estimate, "quadrature", ev.converged, ev.evaluations
             )
         power = 0.5 * (d - 3)
-        acc = Accumulator()
 
-        def term(m: int) -> float:
+        def term(m: int, floor: float) -> Accumulator:
             q = math.pi * m / cfg.a
 
             def g(t: float) -> float:
@@ -306,14 +307,15 @@ def _mode_sum(
 
             t_split = (split - q) / (1.0 + split - q) if q < split else 0.0
             edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
+            mode_tol = Tolerance(rel=quad_tol.rel, abs=floor, max_iter=tol.max_iter)
             pieces = Accumulator()
             for lo, hi in zip(edges, edges[1:]):
-                pieces.take(adaptive_quad(g, lo, hi, quad_tol))
-            return acc.take(pieces)
+                pieces.take(adaptive_quad(g, lo, hi, mode_tol))
+            return pieces
 
-        series = acc.take(sum_series(term, tol))
+        res = nested_sum(term, tol)
         return EnergyValue(
-            a_d * series, a_d * acc.err_estimate, "quadrature", acc.converged, acc.evaluations
+            a_d * res.value, a_d * res.err_estimate, "quadrature", res.converged, res.evaluations
         )
     except OverflowError as exc:
         raise OverflowError(
@@ -325,19 +327,19 @@ def _mode_energy_per_mode(
     cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL
 ) -> EnergyValue:
     # The check route of mode_energy: the same sum with the modes summed
-    # last, one cosh_quad with the weight e^(-u) per mode inside sum_series
+    # last, one cosh_quad with the weight e^(-u) per mode inside nested_sum
     d = cfg.d
     a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
-    quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
-    acc = Accumulator()
+    quad_rel = min(tol.rel, 1e-11)
 
-    def term(m: int) -> float:
+    def term(m: int, floor: float) -> EnergyValue:
         q = math.pi * m / cfg.a
-        return acc.take(cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol))
+        quad_tol = Tolerance(rel=quad_rel, abs=floor, max_iter=tol.max_iter)
+        return cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol)
 
-    series = acc.take(sum_series(term, tol))
-    value, err = a_d * series / cfg.n, a_d * acc.err_estimate / cfg.n
-    return EnergyValue(value, err, "quadrature", acc.converged, acc.evaluations)
+    res = nested_sum(term, tol)
+    value, err = a_d * res.value / cfg.n, a_d * res.err_estimate / cfg.n
+    return EnergyValue(value, err, "quadrature", res.converged, res.evaluations)
 
 
 def mode_energy(cfg: HyperConfig, lam: float, tol: Tolerance = DEFAULT_TOL) -> EnergyValue:

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import ROUNDING, UNDERFLOW, DEFAULT_TOL, Accumulator, EnergyValue
-from .engine import Tolerance, _left_sum, adaptive_quad, finite_diff, sum_series
+from .engine import Tolerance, _left_sum, adaptive_quad, finite_diff, nested_sum, sum_series
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -147,17 +147,19 @@ def _da_kernel(kappa: float, a: float) -> float:
 
 def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
     """(T/pi) sum'_{m>=0} int_{n zeta_m}^inf kernel(kappa, a) dkappa, the
-    m = 0 term at half weight; the error estimate sums the series tail
-    bound and every quadrature's estimate."""
-    quad_tol = Tolerance(rel=min(tol.rel, 1e-12), abs=0.0, max_iter=tol.max_iter)
-    acc = Accumulator()
+    m = 0 term at half weight and full precision, the terms m >= 1 on
+    engine.nested_sum; the error estimate sums the series tail bound and
+    every quadrature's estimate."""
+    quad_rel = min(tol.rel, 1e-12)
 
-    def term(m: int) -> float:
+    def term(m: int, floor: float) -> EnergyValue:
         x = 2.0 * math.pi * m * cfg.T * cfg.n
-        return acc.take(adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol))
+        quad_tol = Tolerance(rel=quad_rel, abs=floor, max_iter=tol.max_iter)
+        return adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol)
 
-    half_m0 = 0.5 * term(0)
-    series = acc.take(sum_series(term, tol))
+    acc = Accumulator()
+    half_m0 = 0.5 * acc.take(term(0, 0.0))
+    series = acc.take(nested_sum(term, tol))
     pref = cfg.T / math.pi
     value = pref * (half_m0 + series)
     return EnergyValue(value, pref * acc.err_estimate, "quadrature", acc.converged, acc.evaluations)

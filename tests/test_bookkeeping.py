@@ -10,17 +10,22 @@ from casimir import dispersion, engine, green_em, hyperdim, matsubara
 from casimir.matsubara import CavityConfig
 
 MODULES = (matsubara, green_em, hyperdim, dispersion)
-ENGINE_CALLS = ("adaptive_quad", "nested_quad", "cosh_quad", "sum_series", "finite_diff")
+ENGINE_CALLS = ("adaptive_quad", "nested_quad", "cosh_quad", "sum_series", "nested_sum", "finite_diff")
 QUADRATURES = ("adaptive_quad", "cosh_quad")
 
 # the routes that fold inner results; each is cheap at these inputs
 ROUTES = {
     "free_energy_quad": lambda: matsubara.free_energy_quad(CavityConfig(a=1.0, T=1.0)),
+    "pressure_quad": lambda: matsubara.pressure_quad(CavityConfig(a=1.0, T=1.0)),
     "internal_energy_from_F": lambda: matsubara.internal_energy_from_F(CavityConfig(a=1.0, T=1.0)),
     # mode_energy is one cosh_quad; its check route folds one per mode
     "mode_energy": lambda: hyperdim._mode_energy_per_mode(hyperdim.HyperConfig(dim=4), 1.0),
     "mode_energy_D5": lambda: hyperdim._mode_energy_per_mode(hyperdim.HyperConfig(dim=5), 1.0),
     "mode_energy_summed": lambda: hyperdim.mode_energy(hyperdim.HyperConfig(dim=4), 1.0),
+    # across the polariton gap: one or two quadratures per mode
+    "dispersive_hyper_energy": lambda: hyperdim.dispersive_hyper_energy(
+        hyperdim.HyperConfig(dim=5), dispersion.LorentzModel(2.0, 4.0), 1.0
+    ),
     "pressure_quadrature_cartesian": lambda: hyperdim.pressure_quadrature(
         hyperdim.HyperConfig(dim=4), route="cartesian"
     ),
@@ -34,7 +39,7 @@ ROUTES = {
 def wrap_engine(monkeypatch, after):
     """Route every module's engine bindings through after(name, result, inner),
     inner the results of the wrapped calls made while this one ran (those
-    of a nested_quad's integrand or of a series' terms)."""
+    of a nested_quad's integrand or of a nested_sum's terms)."""
     frames = [[]]
     for mod in MODULES:
         for name in ENGINE_CALLS:
@@ -94,6 +99,11 @@ def test_evaluations_sum_every_engine_result(route, monkeypatch):
             # outer adaptive_quad's, 45 + 60 * splits
             own -= sum(r.evaluations for r in inner)
             assert inner and own >= 45 and (own - 45) % 60 == 0
+        elif name == "nested_sum":
+            # the rest is sum_series' count of terms, one or more
+            # quadratures each
+            own -= sum(r.evaluations for r in inner)
+            assert 1 <= own <= len(inner)
         counted.append(own)
         return res
 

@@ -9,7 +9,7 @@ import pytest
 
 import casimir
 from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
-from casimir.engine import adaptive_quad, cosh_quad, nested_quad, sum_series, finite_diff
+from casimir.engine import adaptive_quad, cosh_quad, nested_quad, nested_sum, sum_series, finite_diff
 from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_integrand, _cosh_margin, _cosh_tail
 from casimir.engine import _cosh_rounding, _eulerian
 
@@ -413,6 +413,66 @@ class TestNestedQuad:
         for lo, hi in ((1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0)):
             with pytest.raises(ValueError):
                 nested_quad(lambda x, floor: EnergyValue(1.0, 0.0, "quadrature"), lo, hi)
+
+
+class TestNestedSum:
+    def test_floor_follows_the_largest_term_so_far(self):
+        # |terms| that peak at m = 2, where the term is negative: the floor
+        # tracks the largest |term| already returned, 0 for the first
+        tol = Tolerance(rel=1e-8, abs=1e-14)
+        seen = []
+
+        def term(m, floor):
+            value = m * m * math.exp(-m)
+            seen.append((value, floor))
+            return EnergyValue(-value if m == 2 else value, 0.0, "quadrature")
+
+        nested_sum(term, tol)
+        assert seen[0][1] == 0.0
+        peak = 0.0
+        for value, floor in seen:
+            assert floor == 1e-2 * tol.rel * peak
+            peak = max(peak, value)
+        assert seen[-1][1] == 1e-2 * tol.rel * 4.0 * math.exp(-2.0)
+
+    def test_term_errors_enter_once_beside_the_series_estimate(self):
+        def value(m):
+            return 2.0**-m
+
+        res = nested_sum(lambda m, floor: EnergyValue(value(m), 1e-3 * value(m), "quadrature", True, 7))
+        series = sum_series(value)
+        errors = 0.0
+        for m in range(1, series.evaluations + 1):
+            errors += 1e-3 * value(m)
+        assert res.value == series.value
+        assert res.err_estimate == series.err_estimate + errors
+        assert res.err_estimate == pytest.approx(series.err_estimate + 1e-3, rel=1e-12)
+
+    def test_flags_and_counts_fold_every_term(self):
+        calls = []
+
+        def term(m, floor):
+            calls.append(m)
+            return EnergyValue(3.0**-m, 0.0, "quadrature", m != 5, 11)
+
+        res = nested_sum(term)
+        assert res.value == pytest.approx(0.5, rel=1e-12)
+        assert not res.converged
+        assert res.evaluations == len(calls) + 11 * len(calls) and len(calls) > 5
+        all_converged = nested_sum(lambda m, floor: EnergyValue(3.0**-m, 0.0, "quadrature", True, 11))
+        assert all_converged.converged and all_converged.evaluations == res.evaluations
+
+    def test_nan_term_raises(self):
+        with pytest.raises(ValueError, match="NaN at m=3"):
+            nested_sum(lambda m, floor: EnergyValue(math.nan if m == 3 else 1.0 / m**2, 0.0, "quadrature"))
+
+    def test_repeat_calls_are_bit_identical(self):
+        def term(m, floor):
+            return cosh_quad(1, 1, float(m), 0.5 * m, "exp", Tolerance(rel=1e-12, abs=floor))
+
+        first = nested_sum(term)
+        assert first.converged
+        assert nested_sum(term) == first
 
 
 class TestSumSeries:

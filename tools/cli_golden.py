@@ -13,8 +13,9 @@ fresh temporary directory holding the config files below, with
 the same everywhere.  Two trees agree when ``diff`` finds their OUT.json
 files equal.  ``tools/golden.json`` is the record of the committed tree;
 ``tests/test_golden.py`` records the set in tier-1 and compares it with
-that file, CI diffs a fresh record against it on every interpreter it
-tests, and a change that moves bytes records it again in the same commit.
+that file, CI prints the ``--compare`` report of a fresh record against
+it and then diffs the two on every interpreter it tests, and a change
+that moves bytes records it again in the same commit.
 
 ``--compare`` prints each invocation whose record differs between two
 OUT.json files, with the changed lines of stdout (and of a written file)
@@ -81,6 +82,9 @@ CALLS = [
     ["cutoff-sum", "--cutoff-lambda", "0.5"],
     ["cutoff-sum", "--cutoff-lambda", "0.5", "--eps-bar", "2", "--omega0", "1",
      "--format", "json"],
+    # the dispersive mode sum at odd D, omega0 inside the first modes' range
+    ["cutoff-sum", "--D", "5", "--eps-bar", "2", "--omega0", "4", "--cutoff-lambda", "0.7"],
+    ["cutoff-sum", "--D", "7", "--eps-bar", "2", "--omega0", "4", "--cutoff-lambda", "0.7"],
     # even-D vacuum mode sums, on the same cosh map as odd D
     ["cutoff-sum", "--D", "6", "--cutoff-lambda", "0.1"],
     ["cutoff-sum", "--D", "8", "--cutoff-lambda", "0.2", "--format", "json"],
