@@ -7,6 +7,8 @@ The eigenfrequency solves omega = 1/sqrt(L C(omega)) with
 C(omega, a) = (A_plate/a) eps(omega).  That is the mode condition
 omega^2 eps(omega) = k^2 at k = 1/sqrt(L A_plate/a), so it is the closed
 form dispersion.dispersive_mode_solve, with no bracket and no root solve.
+The empty capacitor is the model at eps_bar = 1, where that solve returns
+omega = k exactly and eps(omega) = 1 below omega0.
 The time-averaged circuit energy of a nearly monochromatic oscillation is
 
     W_circ = (1/(2 omega)) d(omega^2 C)/d omega * phi_sq_bar
@@ -45,15 +47,17 @@ __all__ = ["CircuitSpec", "eigenfrequency", "circuit_energy", "adiabatic_variati
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Self-inductance L, plate separation a, capacitance scale A_plate
-    (so C0(a) = A_plate/a), optional Lorentz dielectric filling, and the
-    mean-square potential phi_sq_bar >= 0 setting the amplitude; all
-    finite."""
+    """Self-inductance L, the Lorentz dielectric eps_model that fills the
+    capacitor, plate separation a, capacitance scale A_plate (so
+    C0(a) = A_plate/a) and the mean-square potential phi_sq_bar >= 0
+    setting the amplitude; all finite.  An empty capacitor is
+    LorentzModel(1, omega0) with omega0 above its eigenfrequency: eps is
+    then exactly 1 and dC/d omega exactly 0."""
 
     L: float
+    eps_model: LorentzModel
     a: float = 1.0
     A_plate: float = 1.0
-    eps_model: LorentzModel | None = None
     phi_sq_bar: float = 1.0
 
     def __post_init__(self):
@@ -66,16 +70,10 @@ class CircuitSpec:
         if not (math.isfinite(self.phi_sq_bar) and self.phi_sq_bar >= 0):
             raise ValueError(f"phi_sq_bar must be finite and >= 0, got {self.phi_sq_bar}")
 
-    def capacitance(self, omega: float, a: float | None = None) -> float:
-        a = self.a if a is None else a
-        c0 = self.A_plate / a
-        if self.eps_model is None:
-            return c0
-        return c0 * _eps_real_unguarded(self.eps_model, omega)
+    def capacitance(self, omega: float) -> float:
+        return self.A_plate / self.a * _eps_real_unguarded(self.eps_model, omega)
 
     def dC_domega(self, omega: float) -> float:
-        if self.eps_model is None:
-            return 0.0
         m = self.eps_model
         c0 = self.A_plate / self.a
         return c0 * (m.eps_bar - 1.0) * (2.0 * omega / m.omega0**2) / (
@@ -92,8 +90,6 @@ def eigenfrequency(spec: CircuitSpec) -> float:
     into the resonance zone) is an error.
     """
     k = 1.0 / (math.sqrt(spec.L) * math.sqrt(spec.A_plate / spec.a))  # L C0 may overflow
-    if spec.eps_model is None:
-        return k
     w = dispersive_mode_solve(spec.eps_model, k)
     if w >= spec.eps_model.omega0 * (1.0 - DEFAULT_RESONANCE_HALFWIDTH):
         raise ValueError("no eigenfrequency below the resonance zone for this L and C")
@@ -114,7 +110,6 @@ def circuit_energy(spec: CircuitSpec) -> EnergyValue:
 
 def _energy_rounding(spec: CircuitSpec, w: float) -> float:
     # Relative rounding bound of circuit_energy, first order in u = eps/2.
-    # Without a dielectric the value is A_plate/a * phi_sq_bar: 2 u.  With one,
     # k = 1/(sqrt(L) sqrt(A_plate/a)) is good to 4.5 u, which w inherits at
     # most (d ln w/d ln k <= 1 on the lower branch), and the closed root to
     # 10 u more: in units of max(k, omega0)^2 every term of x+ is positive
@@ -123,8 +118,6 @@ def _energy_rounding(spec: CircuitSpec, w: float) -> float:
     # g = 1 - r is good to dg = (2 dw + 3 u) r/g + u, and the two positive
     # terms of the energy, c and w dC/d omega / 2, to 2 dw + 2 dg + 11 u.
     u = 0.5 * sys.float_info.epsilon
-    if spec.eps_model is None:
-        return 2.0 * u
     r = (w / spec.eps_model.omega0) ** 2
     dw = 14.5 * u
     dg = (2.0 * dw + 3.0 * u) * r / (1.0 - r) + u
@@ -149,6 +142,6 @@ def adiabatic_variation_check(spec: CircuitSpec, delta_a_rel: float) -> tuple[fl
     moved = replace(spec, a=spec.a * (1.0 + delta_a_rel))
     w2 = eigenfrequency(moved)
     lhs = circuit_energy(spec).value * (w2 - w1) / w1
-    dc_static = spec.capacitance(w1, a=spec.a * (1.0 + delta_a_rel)) - spec.capacitance(w1)
+    dc_static = moved.capacitance(w1) - spec.capacitance(w1)
     rhs = -0.5 * spec.phi_sq_bar * dc_static
     return lhs, rhs

@@ -7,9 +7,9 @@ a series whose terms are engine results on nested_sum.
 
 Everything here is a pure function of its inputs; the only shared state
 is the memo of cosh_quad's cut margin, itself a pure function of one
-integer, and the integrand cosh_quad builds (with its panel sum) and the
-running floors of nested_quad and nested_sum are fresh per call, so all
-routines are safe to call concurrently.
+integer, and the panel sum cosh_quad builds and the running floors of
+nested_quad and nested_sum are fresh per call, so all routines are safe
+to call concurrently.
 
 Semi-infinite integrals are handled by the variable change
 
@@ -17,7 +17,8 @@ Semi-infinite integrals are handled by the variable change
 
 after which the finite interval is subdivided adaptively with a 15-point
 Gauss-Legendre rule on each panel (interior nodes only, so endpoint
-singularities of integrable type are never sampled).
+singularities of integrable type are never sampled; a node of a tiny
+last panel that rounds onto t = 1 adds 0).
 
 The constant-index integrals of the package, int_0^inf k^j E^p w(z E/q) dk
 with E = sqrt(k^2 + q^2) and the weight e^(-u) or one of the polylogarithms
@@ -27,10 +28,11 @@ k = q sinh s (cosh_quad), where the weight decays double-exponentially in
 s (Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The s range ends where a
 closed bound shows the dropped tail is below rounding; that bound, and a
 count of the roundings at each node, are part of the error estimate.
-Their integrand reaches adaptive_quad with its own panel sum, one function
+They run adaptive_quad's bisection on their own panel sum, one function
 that evaluates the map, both powers and the weight inline at the 15 nodes,
-in the same order of operations as the generic rule, so every bit is the
-same at about four fifths of the cost per node.
+in the same order of operations as the generic rule, so every bit is that
+of adaptive_quad over the plain integrand at about four fifths of the cost
+per node.
 
 A nested integral (nested_quad) does not solve every inner integral to
 the same relative tolerance: each gets an absolute floor of a hundredth of
@@ -158,9 +160,6 @@ class EnergyValue:
         if not (math.isfinite(self.value) and math.isfinite(self.err_estimate)):
             object.__setattr__(self, "converged", False)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(slots=True)
 class Accumulator:
@@ -199,19 +198,16 @@ def adaptive_quad(
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-    max_panels: int = 2000,
 ) -> EnergyValue:
     """Integrate f over (lo, hi); hi may be math.inf.
 
     Globally adaptive bisection: the panel with the largest error estimate
     (|coarse - sum of halves|) is split until the summed estimate meets
-    tol.  Non-convergence within max_panels subdivisions is reported via
-    converged=False rather than raised; a NaN integrand raises.  The
-    first panel applies the 15-point rule three times (whole and halves)
-    and each split four times, so f is called 45 + 60 * splits times.
-    On a finite range an integrand may supply its own panel sum as the
-    attribute f.gl15(a, b), the 15-point rule over [a, b] with f inlined;
-    it is then used in place of the generic rule.
+    tol.  Non-convergence within _MAX_PANELS = 2000 subdivisions is
+    reported via converged=False rather than raised; a NaN integrand
+    raises.  The first panel applies the 15-point rule three times (whole
+    and halves) and each split four times, so f is called 45 + 60 * splits
+    times.  On (lo, inf) a node that rounds onto t = 1 adds 0.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
@@ -223,14 +219,19 @@ def adaptive_quad(
 
         def g(t: float) -> float:
             u = 1.0 - t
+            if u == 0.0:  # the node rounded onto t = 1, x = inf
+                return 0.0
             return f(base + t / u) / (u * u)
 
-        return _adaptive_finite(functools.partial(_gl15, g), 0.0, 1.0, tol, max_panels)
-    rule = getattr(f, "gl15", None) or functools.partial(_gl15, f)
-    return _adaptive_finite(rule, lo, hi, tol, max_panels)
+        return _adaptive_finite(functools.partial(_gl15, g), 0.0, 1.0, tol)
+    return _adaptive_finite(functools.partial(_gl15, f), lo, hi, tol)
 
 
-def _adaptive_finite(rule, a: float, b: float, tol: Tolerance, max_panels: int) -> EnergyValue:
+# Subdivisions _adaptive_finite makes before it reports non-convergence
+_MAX_PANELS = 2000
+
+
+def _adaptive_finite(rule, a: float, b: float, tol: Tolerance) -> EnergyValue:
     # rule(lo, hi) is the 15-point sum over one panel
     tie = itertools.count()
 
@@ -248,7 +249,7 @@ def _adaptive_finite(rule, a: float, b: float, tol: Tolerance, max_panels: int) 
     total = heap[0][4]
     total_err = -heap[0][0]
 
-    for splits in range(max_panels):
+    for splits in range(_MAX_PANELS):
         if total_err <= tol.target(total):
             return EnergyValue(total, total_err, "quadrature", True, 45 + 60 * splits)
         if total_err != total_err:  # NaN, from inf - inf: no split can converge
@@ -263,7 +264,7 @@ def _adaptive_finite(rule, a: float, b: float, tol: Tolerance, max_panels: int) 
             total_err -= child[0]
 
     converged = total_err <= tol.target(total)
-    return EnergyValue(total, total_err, "quadrature", converged, 45 + 60 * max_panels)
+    return EnergyValue(total, total_err, "quadrature", converged, 45 + 60 * _MAX_PANELS)
 
 
 # Share of tol.rel times the largest outer node value that nested_quad grants
@@ -291,9 +292,9 @@ def nested_quad(
     sum to L = hi - lo (1 in t), so the inner errors move the outer sum by
     at most L max(jac inner_err), which the error estimate adds to
     adaptive_quad's.  converged is the AND of the outer and every inner
-    flag; evaluations sum the outer nodes' and the inner results'.  The
-    running M is state of this call only, and it makes the result
-    deterministic.
+    flag; evaluations sum the outer nodes' and the inner results'.  A node
+    that rounds onto t = 1 adds 0 without calling inner.  The running M is
+    state of this call only, and it makes the result deterministic.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
@@ -320,6 +321,8 @@ def nested_quad(
 
         def mapped(t: float) -> float:
             u = 1.0 - t
+            if u == 0.0:  # the node rounded onto t = 1, x = inf
+                return 0.0
             return node(lo + t / u, u * u)
 
         outer, length = adaptive_quad(mapped, 0.0, 1.0, tol), 1.0
@@ -510,9 +513,9 @@ def cosh_quad(
     overflows raises OverflowError, as does a weight order whose Eulerian
     coefficients leave the double range.
 
-    The integrand enters adaptive_quad with its own fused panel sum: map,
-    powers and weight inline at each of the 15 nodes, in the order of the
-    plain integrand, so that every bit equals adaptive_quad over it.
+    The bisection of adaptive_quad runs on a fused panel sum: map, powers
+    and weight inline at each of the 15 nodes, in the order of the plain
+    integrand, so that every bit equals adaptive_quad over it.
     """
     if weight == "exp":
         k = None
@@ -525,8 +528,8 @@ def cosh_quad(
     x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
     s1 = math.acosh(x1 / z)
     coefs = _eulerian(k) if k else ()
-    g = _cosh_integrand(j, p + 1, q ** (j + p + 1), z, k, coefs)
-    res = adaptive_quad(g, 0.0, s1, tol)
+    rule = _cosh_integrand(j, p + 1, q ** (j + p + 1), z, k, coefs)
+    res = _adaptive_finite(rule, 0.0, s1, tol)
     if not math.isfinite(res.value):
         raise OverflowError(f"cosh_quad sum out of range (j={j}, p={p}, z={z!r}, weight={weight!r})")
     order = k or 0  # the tail and the floor of e^(-u) are those of k = 0
@@ -539,24 +542,12 @@ def cosh_quad(
 def _cosh_integrand(
     j: int, power: int, scale: float, z: float, k: int | None, coefs: tuple[float, ...]
 ):
-    # scale sinh^j s cosh^power s w(z cosh s), w = e^(-u) for k None and
-    # Li_(-k)(e^(-u)) otherwise, coefs those of A_k (k >= 1), with its
-    # 15-point panel sum as the attribute gl15: the rule of _gl15, one
-    # Python call per panel instead of two per node
+    # The panel sum gl15(a, b) of scale sinh^j s cosh^power s w(z cosh s),
+    # w = e^(-u) for k None and Li_(-k)(e^(-u)) otherwise, coefs those of
+    # A_k (k >= 1): the 15-point rule of _gl15 with map, powers and weight
+    # inline at each node, one Python call per panel instead of two per node
     cosh, sinh, exp, expm1 = math.cosh, math.sinh, math.exp, math.expm1
     k1 = (k or 0) + 1
-
-    def g(s: float) -> float:
-        c = cosh(s)
-        u = z * c
-        if k is None:
-            w = exp(-u)
-        elif not k:
-            w = exp(-u) / -expm1(-u)
-        else:
-            y = exp(-u)
-            w = y * _horner(coefs, y) / (-expm1(-u)) ** k1
-        return scale * sinh(s) ** j * c**power * w
 
     def gl15(a: float, b: float) -> float:
         half = 0.5 * (b - a)
@@ -587,8 +578,7 @@ def _cosh_integrand(
             raise ValueError(f"integrand returned NaN on ({a!r}, {b!r})")
         return half * total
 
-    g.gl15 = gl15
-    return g
+    return gl15
 
 
 def sum_series(term: Callable[[int], float], tol: Tolerance = DEFAULT_TOL) -> EnergyValue:

@@ -54,10 +54,8 @@ z = lambda q with the weight e^(-u), so on the common variable s
 
 t = lambda pi/a, and Li_(-d)(y) = y A_d(y)/(1 - y)^(d+1), A_d the Eulerian
 polynomial: mode_energy is one cosh_quad (q = pi/a, z = t, weight d) of
-105-225 evaluations at D = 3..12, to about 1e-15 relative, where one
-quadrature per mode inside sum_series took 16 112 evaluations at D = 4,
-lambda = 0.1 and 85 292 at D = 12, lambda = 0.05.  That per-mode sum stays
-as the check route _mode_energy_per_mode (the crosscheck rows
+105-225 evaluations at D = 3..12, to about 1e-15 relative.  The per-mode
+sum stays as the check route _mode_energy_per_mode (the crosscheck rows
 mode_energy=per_mode_sum@D=...), on engine.nested_sum, which stops each
 mode at an absolute floor scaled to the largest mode so far.  The inner k
 integral of the cartesian pressure route is the same integral with

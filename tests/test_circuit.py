@@ -9,6 +9,8 @@ from casimir.circuit import CircuitSpec, eigenfrequency, circuit_energy, adiabat
 
 MODEL = LorentzModel(eps_bar=2.0, omega0=10.0)
 DISPERSIVE = CircuitSpec(L=1.0, eps_model=MODEL)
+# the empty capacitor: eps = 1, its resonance far above every eigenfrequency below
+VACUUM = LorentzModel(eps_bar=1.0, omega0=1e3)
 
 # x = omega^2 solves x^2 - 201 x + 100 = 0 for L = C0 = 1, eps_bar = 2, omega0 = 10
 X_STAR = (201.0 - math.sqrt(40001.0)) / 2.0
@@ -39,15 +41,15 @@ ORACLE_GRID = [
 
 class TestEigenfrequency:
     def test_nondispersive(self):
-        assert eigenfrequency(CircuitSpec(L=4.0)) == pytest.approx(0.5, rel=1e-13)
+        assert eigenfrequency(CircuitSpec(L=4.0, eps_model=VACUUM)) == pytest.approx(0.5, rel=1e-13)
         # omega = sqrt(a/(L A_plate)) = sqrt(9/(4 * 0.25))
-        assert eigenfrequency(CircuitSpec(L=4.0, a=9.0, A_plate=0.25)) == pytest.approx(
-            3.0, rel=1e-13
-        )
+        assert eigenfrequency(
+            CircuitSpec(L=4.0, eps_model=VACUUM, a=9.0, A_plate=0.25)
+        ) == pytest.approx(3.0, rel=1e-13)
         # L C0 = 1e400 overflows a double, the eigenfrequency 1e-200 does not
-        assert eigenfrequency(CircuitSpec(L=1e200, A_plate=1e200)) == pytest.approx(
-            1e-200, rel=1e-14, abs=0.0
-        )
+        assert eigenfrequency(
+            CircuitSpec(L=1e200, eps_model=VACUUM, A_plate=1e200)
+        ) == pytest.approx(1e-200, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("L,a,A_plate,eps_bar,omega0", ORACLE_GRID)
     def test_dispersive_oracle(self, L, a, A_plate, eps_bar, omega0):
@@ -85,16 +87,18 @@ class TestEigenfrequency:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            CircuitSpec(L=0.0)
+            CircuitSpec(L=0.0, eps_model=VACUUM)
         with pytest.raises(ValueError):
-            CircuitSpec(L=1.0, a=-1.0)
+            CircuitSpec(L=1.0, eps_model=VACUUM, a=-1.0)
         for bad in (math.nan, math.inf):
             for field in ("L", "a", "A_plate", "phi_sq_bar"):
                 with pytest.raises(ValueError):
-                    CircuitSpec(**{"L": 1.0, field: bad})
+                    CircuitSpec(**{"L": 1.0, "eps_model": VACUUM, field: bad})
         with pytest.raises(ValueError):
-            CircuitSpec(L=1.0, phi_sq_bar=-1.0)
-        CircuitSpec(L=1.0, phi_sq_bar=0.0)  # zero amplitude allowed
+            CircuitSpec(L=1.0, eps_model=VACUUM, phi_sq_bar=-1.0)
+        CircuitSpec(L=1.0, eps_model=VACUUM, phi_sq_bar=0.0)  # zero amplitude allowed
+        with pytest.raises(TypeError):
+            CircuitSpec(L=1.0)  # the dielectric is never implied
 
 
 def _mp_circuit_energy(L, a, A_plate, eps_bar, omega0):
@@ -118,7 +122,7 @@ class TestCircuitEnergy:
         assert e.err_estimate <= 1e-13 * e.value
 
     def test_nondispersive_rounding_bound(self):
-        e = circuit_energy(CircuitSpec(L=4.0, a=3.0, A_plate=0.7, phi_sq_bar=1.3))
+        e = circuit_energy(CircuitSpec(L=4.0, eps_model=VACUUM, a=3.0, A_plate=0.7, phi_sq_bar=1.3))
         with mpmath.workdps(40):
             ref = mpmath.mpf(0.7) / 3 * mpmath.mpf(1.3)
         assert 0.0 < abs(e.value - ref) <= e.err_estimate
@@ -126,7 +130,7 @@ class TestCircuitEnergy:
     def test_nondispersive_halves(self):
         # d(omega^2 C)/d omega = 2 omega C, so W = C phi^2: equal capacitor
         # and inductor halves C phi^2/2 each
-        spec = CircuitSpec(L=4.0, phi_sq_bar=1.0)
+        spec = CircuitSpec(L=4.0, eps_model=VACUUM, phi_sq_bar=1.0)
         w = eigenfrequency(spec)
         assert circuit_energy(spec).value == pytest.approx(spec.capacitance(w), rel=1e-13)
         assert spec.dC_domega(w) == 0.0
@@ -154,7 +158,7 @@ class TestCircuitEnergy:
 class TestAdiabaticVariation:
     def test_nondispersive_first_order_constant(self):
         # for C = C0/a the ratio expands as 1 + (3/4) delta + O(delta^2)
-        spec = CircuitSpec(L=1.0)
+        spec = CircuitSpec(L=1.0, eps_model=VACUUM)
         delta = 1e-4
         lhs, rhs = adiabatic_variation_check(spec, delta)
         assert (lhs / rhs - 1.0) / delta == pytest.approx(0.75, rel=1e-3)
@@ -181,7 +185,7 @@ class TestAdiabaticVariation:
         moved = CircuitSpec(L=1.0, a=1.0 + delta, eps_model=MODEL)
         w2 = eigenfrequency(moved)
         total = moved.capacitance(w2) - DISPERSIVE.capacitance(w1)
-        static = DISPERSIVE.capacitance(w1, a=1.0 + delta) - DISPERSIVE.capacitance(w1)
+        static = moved.capacitance(w1) - DISPERSIVE.capacitance(w1)
         chained = static + DISPERSIVE.dC_domega(w1) * (w2 - w1)
         assert abs(total - chained) <= 10.0 * delta**2 * abs(DISPERSIVE.capacitance(w1))
 

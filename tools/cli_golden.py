@@ -79,6 +79,9 @@ CALLS = [
     ["dispersive", "--eps-bar", "2", "--omega0", "0.2", "--omega-max", "2", "--format", "json"],
     ["circuit", "--L", "1", "--C0", "1", "--eps-bar", "2", "--omega0", "10"],
     ["circuit", "--format", "json"],
+    # the vacuum capacitor, eps_bar = 1, at a plain and an extreme L C0
+    ["circuit", "--eps-bar", "1"],
+    ["circuit", "--eps-bar", "1", "--L", "1e200", "--C0", "1e200", "--format", "json"],
     ["cutoff-sum", "--cutoff-lambda", "0.5"],
     ["cutoff-sum", "--cutoff-lambda", "0.5", "--eps-bar", "2", "--omega0", "1",
      "--format", "json"],
