@@ -26,8 +26,10 @@ Li_(-k)(e^(-u)) = sum_n n^k e^(-n u) (k = 0 the Bose weight 1/(e^u - 1),
 k = j + p + 1 a whole regulated mode sum), run instead on the map
 k = q sinh s (cosh_quad), where the weight decays double-exponentially in
 s (Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The s range ends where a
-closed bound shows the dropped tail is below rounding; that bound, and a
-count of the roundings at each node, are part of the error estimate.
+bound on the dropped tail is below rounding: past the cut the integrand is
+log-concave, so it lies below a Gaussian that touches it there.  That
+bound, and a count of the roundings at each node, are part of the error
+estimate.
 They run adaptive_quad's bisection on their own panel sum, one function
 that evaluates the map, both powers and the weight inline at the 15 nodes,
 in the same order of operations as the generic rule, so every bit is that
@@ -339,17 +341,19 @@ def nested_quad(
 
 _EXP_UNDERFLOW = 745.2  # e^(-x) is exactly 0 in double precision past about 745.13
 _EXP_SUBNORMAL = 708.3  # and subnormal, with fewer than 53 bits, past about 708.40
-# Share of the rounding floor ROUNDING * |value| that cosh_quad's tail bound
-# may take at the cut, for a weight w(u) >= e^(-u)
+# Share of the rounding floor ROUNDING * |value| that cosh_quad's dropped
+# tail may take at the cut, for a weight w(u) >= e^(-u)
 _TAIL_SHARE = 0.25
 
 
 @functools.cache
 def _cosh_margin(m: int) -> float:
     # The M with Q(m+1, M) = Gamma(m+1, M)/m! = _TAIL_SHARE * ROUNDING.  For
-    # the weight e^(-u) and z -> 0, Q(m+1, M) is the tail bound of cosh_quad
-    # over its value at x1 = z + M; at larger z that ratio falls, until the
-    # cut reaches 745.2 (checked at D = 3..12 for z from 1e-8 to 700).
+    # the weight e^(-u) and z -> 0, Q(m+1, M) is the dropped tail of
+    # cosh_quad over its value at x1 = z + M; at larger z that ratio falls,
+    # until the cut reaches 745.2.  The concavity bound of _cosh_tail is at
+    # most 0.2505 ROUNDING times the value below that end (checked at
+    # D = 3..12 for z from 1e-8 to 700).
     # M = goal + ln e_m(M), e_m(x) = sum_(k<=m) x^k/k!, is a contraction
     # (slope e_(m-1)/e_m < 1) that rises to the root from M = goal.
     goal = -math.log(_TAIL_SHARE * ROUNDING)
@@ -363,16 +367,6 @@ def _cosh_margin(m: int) -> float:
         if margin - last < 1e-9:
             break
     return margin
-
-
-def _log_upper_gamma(n: int, y: float) -> tuple[float, float, float]:
-    # The three terms of ln Gamma(n+1, y), n >= 0 an integer and y > 0, from
-    # Gamma(n+1, y) = e^(-y) y^n sum_(i<=n) n!/(n-i)! y^(-i)
-    term = total = 1.0
-    for i in range(n):
-        term *= (n - i) / y
-        total += term
-    return n * math.log(y), math.log(total), -y
 
 
 def _eulerian(k: int) -> tuple[float, ...]:
@@ -413,46 +407,34 @@ def _cosh_tail(
 ) -> float:
     # Bound on q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
     # m = j + p, x1 = z cosh s1, for w(u) = e^(-u) and Li_(-k)(e^(-u)).
-    # With c = cosh s (dc = sinh s ds) the tail is
-    # q^(m+1) int_(c1)^inf sinh^(j-1) c^(p+1) w(z c) dc, and w(u) <= K e^(-u)
-    # for u >= x1, K = A_k(y1)/(1 - y1)^(k+1), y1 = e^(-x1), coefs those of
-    # A_k (k = 0 for e^(-u) too, where K = 1/(1 - y1) > 1).  At j = 0,
-    # 1/sinh s <= coth(s1)/c gives q^(m+1) K coth(s1) Gamma(m+1, x1)/z^(m+1).
-    # At j >= 1, ln(c^2 - 1) is concave, so sinh^(j-1) s lies below its
-    # tangent at c1, sinh^(j-1)(s1) e^(b (c - c1)) with b = (j-1) c1/sinh^2 s1;
-    # with beta = z - b > 0 that gives
-    #     q^(m+1) K sinh^(j-1)(s1) e^(-b c1) Gamma(p+2, beta c1)/beta^(p+2),
-    # which is q^(m+1) K Gamma(m+1, x1)/z^(m+1) at j = 1 and stays within
-    # about 1 % of the true tail even where x1 is near z, where the bound
-    # sinh s <= cosh s would overstate it by (coth s1)^(j-1).  It is
-    # formed in logs, since e^(-x1) alone may underflow, and the sum of the
-    # logs is raised by its rounding floor: at j = 1 the bound is the tail
-    # to a relative e^(-x1).
-    sinh2 = (x1 - z) * (x1 + z) / (z * z)  # sinh^2 s1, without cancellation
-    if j == 0:
-        terms = (
-            (p + 1) * math.log(q / z),
-            math.log(x1 / z),
-            -0.5 * math.log(sinh2),
-            *_log_upper_gamma(p, x1),
-        )
-    else:
-        b = (j - 1) * (x1 / z) / sinh2
-        beta = z - b
-        if not beta > 0.0:
-            return math.inf
-        terms = (
-            (j + p + 1) * math.log(q),
-            0.5 * (j - 1) * math.log(sinh2),
-            -b * x1 / z,
-            -(p + 2) * math.log(beta),
-            *_log_upper_gamma(p + 1, beta * x1 / z),
-        )
+    # For u >= x1, w(u) <= K e^(-u), K = A_k(y1)/(1 - y1)^(k+1), y1 = e^(-x1),
+    # coefs those of A_k (k = 0 for e^(-u) too, where K = 1/(1 - y1) > 1).
+    # f = sinh^j s cosh^(p+1) s e^(-z cosh s) is log-concave past s1:
+    # -(ln f)'' = z cosh s + j/sinh^2 s - (p+1)/cosh^2 s >= c = x1 - max(p+1, 0),
+    # c > 0 for p <= 744.  So ln f(s1 + t) <= ln f(s1) - l t - c t^2/2, with
+    # l = z sinh s1 - j coth s1 - (p+1) tanh s1 of either sign, and the tail
+    # is at most q^(m+1) K f(s1) sqrt(pi/(2c)) e^(b^2) erfc(b), b = l/sqrt(2c).
+    # As l <= c, b <= sqrt(c/2) <= 19.3 and erfc(b) stays normal.  The bound
+    # is formed in logs, since e^(-x1) alone may underflow, and the sum of the
+    # logs, b^2 and ln erfc(b) apart, is raised by its rounding floor.
+    r = math.sqrt((x1 - z) * (x1 + z))  # z sinh s1, without cancellation
+    c = x1 - max(p + 1, 0)
+    b = (r - j * x1 / r - (p + 1) * r / x1) / math.sqrt(2.0 * c)
     log_k = -(k + 1) * math.log(-math.expm1(-x1))
     if k:
         log_k += math.log(_horner(coefs, math.exp(-x1)))
+    terms = (
+        (j + p + 1) * math.log(q),
+        j * math.log(r / z),
+        (p + 1) * math.log(x1 / z),
+        -x1,
+        0.5 * math.log(math.pi / (2.0 * c)),
+        b * b,
+        math.log(math.erfc(b)),
+        log_k,
+    )
     log_bound = magnitude = 0.0  # left to right, as _left_sum
-    for t in terms + (log_k,):
+    for t in terms:
         log_bound += t
         magnitude += abs(t)
     log_bound += ROUNDING * magnitude
@@ -499,19 +481,20 @@ def cosh_quad(
     n of the e^(-u) integrals at q n, z n.
 
     The range ends at x1 = z cosh s1 = min(z + M, 745.2), where M depends on
-    j + p only and makes the bound on the dropped tail (see _cosh_tail) at
-    most a quarter of ROUNDING times the value with w = e^(-u), which the
-    weights Li_(-k) only raise.  Past 745.2, e^(-u) underflows, so for z
-    near 700 the bound there can exceed that share (at j >= 8, z = 700 the
-    true tail does).  The error estimate adds to adaptive_quad's the tail
-    bound and a counted rounding floor (_cosh_rounding:
-    (2.5 (j + p) + 3.5 k + 1.5 z + 20.5) eps relative, and eps/40 per
-    evaluation); converged requires adaptive_quad's estimate and the tail
-    bound to meet tol, since no refinement lowers the floor.  For z > 708.3
-    every value of w is subnormal, no relative tolerance can be met, and the
-    integral is returned as an exact 0, e^(-708) below its sum.  A sum that
-    overflows raises OverflowError, as does a weight order whose Eulerian
-    coefficients leave the double range.
+    j + p only and makes the bound on the dropped tail (see _cosh_tail: the
+    integrand is log-concave past s1, so it lies below a Gaussian there) at
+    most 0.2505 ROUNDING times the value with w = e^(-u), which the weights
+    Li_(-k) only raise.  Past 745.2, e^(-u) underflows, so for z near 700
+    the bound there can exceed that share (at j >= 8, z = 700 the true tail
+    does, and at j = 89, p = 1 it exceeds the value).  The error estimate
+    adds to adaptive_quad's the tail bound and a counted rounding floor
+    (_cosh_rounding: (2.5 (j + p) + 3.5 k + 1.5 z + 20.5) eps relative, and
+    eps/40 per evaluation); converged requires adaptive_quad's estimate and
+    the tail bound to meet tol, since no refinement lowers the floor.  For
+    z > 708.3 every value of w is subnormal, no relative tolerance can be
+    met, and the integral is returned as an exact 0, e^(-708) below its
+    sum.  A sum that overflows raises OverflowError, as does a weight order
+    whose Eulerian coefficients leave the double range.
 
     The bisection of adaptive_quad runs on a fused panel sum: map, powers
     and weight inline at each of the 15 nodes, in the order of the plain

@@ -49,9 +49,9 @@ em_energy_finiteT and the T = 0 quadratures against it.
 em_energy_T0 runs the inner k integral of W(T=0) on engine.cosh_quad
 (j = 1, p = -1, the Bose weight k = 0): with q = n zeta, z = 2 a q and
 k = q sinh s it is q int_0^s1 sinh s / (e^(z cosh s) - 1) ds, cut at
-z cosh s1 = z + 36.0, where the closed bound on the dropped tail,
-(q/z) e^(-z cosh s1)/(1 - e^(-z cosh s1)), is at most a quarter of the
-rounding floor of the value; the bound joins the error estimate.  The
+z cosh s1 = z + 36.0, where cosh_quad's bound on the dropped tail, from
+the log-concavity of the integrand past the cut, is at most 0.2505 times
+the rounding floor of the value; the bound joins the error estimate.  The
 outer integral runs on zeta = e^sigma, which resolves the zeta^2 ln zeta
 behaviour at zeta -> 0 in a few panels, over x = 2 a n zeta from 1e-7 to
 708.3, past which every inner integral is an exact 0.  Each dropped end

@@ -62,13 +62,14 @@ integral of the cartesian pressure route is the same integral with
 q = n zeta, z = 2 a q and the Bose weight (k = 0), under
 engine.nested_quad, which scales each inner floor to the largest outer node.
 The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
-D = 12, where a closed bound on the dropped tail falls to a quarter of the
-rounding floor; that bound and a count of the roundings are part of
-err_estimate.  Past z ~ 700 the end stays at
-z cosh s1 = 745.2, where w underflows.  Where the mode sum or the Eulerian
-numbers leave the double range (D >= 95 at lambda/a = 0.1, D >= 173 at
-any lambda) mode_energy raises one OverflowError that names D and lambda,
-whichever float operation overflowed first.  Only the dispersive sum
+D = 12, where a bound on the dropped tail, from the log-concavity of the
+integrand past the cut, is at most 0.2505 of the rounding floor; that
+bound and a count of the roundings are part of err_estimate.  Past
+z ~ 700 the end stays at z cosh s1 = 745.2, where w underflows.  Where
+the mode sum or the Eulerian numbers leave the double range (D >= 95 at
+lambda/a = 0.1, D >= 173 at any lambda) mode_energy raises one
+OverflowError that names D and lambda, whichever float operation
+overflowed first.  Only the dispersive sum
 with eps_bar > 1 keeps one E-map integral per mode, split at the jump of
 n(k) at omega0, also on engine.nested_sum, so at D = 3 it still raises
 ZeroDivisionError (the benchmark's reference, perfbench/oracle.py, has no

@@ -251,6 +251,19 @@ class TestCoshQuad:
         ref = _mp_cosh_value(shape, j, p, q, z)
         assert abs(ev.value - ref) <= ev.err_estimate
 
+    @pytest.mark.parametrize(
+        "j, p, z", [(38, 1, 1.0), (38, 1, 700.0), (78, 1, 1.0), (78, 1, 700.0),
+                    (89, 1, 700.0), (3, -2, 1.0), (0, 30, 1.0)]
+    )
+    def test_tail_bound_beyond_the_grid(self, j, p, z):
+        # high powers, where at z = 700 most of the integral lies past the
+        # underflow end, a negative power of cosh, and j = 0 at a high one
+        q = math.exp(z / (j + p + 1))
+        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
+        bound = _cosh_tail(j, p, q, z, x1, 0, _eulerian(0))
+        tail = _mp_cosh_tail(j, p, q, z, x1, None)
+        assert tail <= bound <= 1.5 * tail
+
     def test_subnormal_weights_give_an_exact_zero(self):
         ev = cosh_quad(1, 1, 1.0, 710.0, 0)
         assert (ev.value, ev.err_estimate, ev.converged, ev.evaluations) == (0.0, 0.0, True, 0)
