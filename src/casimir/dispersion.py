@@ -136,9 +136,10 @@ def dispersive_mode_solve(model: LorentzModel, k: float) -> float:
     is unique; it connects continuously to the vacuum branch omega = k as
     eps_bar -> 1 (and for eps_bar = 1 exactly, omega = k is returned).
     It is the smaller root x- = k^2 omega0^2 / x+ of the mode quadratic.
+    k must be finite and > 0.
     """
-    if not k > 0:
-        raise ValueError(f"wavenumber k must be > 0, got {k}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber k must be finite and > 0, got {k}")
     if model.eps_bar == 1.0:
         return k
     return min(k, model.omega0) / math.sqrt(_scaled_upper_root(model, k))
@@ -155,9 +156,10 @@ def photon_index(model: LorentzModel, k: float) -> float:
     below-resonance root alone would give n(k) ~ k/omega0 at large k and
     the mode sum would never reduce to its vacuum form.)  Both branches
     are closed forms in x+: sqrt(x+)/omega0 below and k/sqrt(x+) above.
+    k must be finite and > 0.
     """
-    if not k > 0:
-        raise ValueError(f"wavenumber k must be > 0, got {k}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber k must be finite and > 0, got {k}")
     if model.eps_bar == 1.0:
         return 1.0
     root = math.sqrt(_scaled_upper_root(model, k))
@@ -182,7 +184,7 @@ def w_I_energy(
     """
     if cfg.T != 0:
         raise ValueError("w_I_energy requires T = 0 in the config")
-    outer_tol = Tolerance(rel=max(tol.rel, 1e-9), abs=0.0, max_iter=tol.max_iter)
+    outer_tol = Tolerance(rel=max(tol.rel, 1e-9), abs=0.0)
 
     def integrand(zeta: float) -> float:
         eps_i = eps_imag_axis(model, zeta)
@@ -220,7 +222,7 @@ def w2_density_cutoff(
     accumulated increments, so the scan is exactly monotone in the
     integral sense).  eps_bar = 1 gives identically zero.
     """
-    seg_tol = Tolerance(rel=max(tol.rel, 1e-10), abs=0.0, max_iter=tol.max_iter)
+    seg_tol = Tolerance(rel=max(tol.rel, 1e-10), abs=0.0)
     pref = 2.0 * cfg.a * (model.eps_bar - 1.0) / (model.omega0**2 * 2.0 * math.pi)
 
     def integrand(zeta: float) -> float:

@@ -25,11 +25,11 @@ with E = sqrt(k^2 + q^2) and the weight e^(-u) or one of the polylogarithms
 Li_(-k)(e^(-u)) = sum_n n^k e^(-n u) (k = 0 the Bose weight 1/(e^u - 1),
 k = j + p + 1 a whole regulated mode sum), run instead on the map
 k = q sinh s (cosh_quad), where the weight decays double-exponentially in
-s (Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The s range ends where a
-bound on the dropped tail is below rounding: past the cut the integrand is
-log-concave, so it lies below a Gaussian that touches it there.  That
-bound, and a count of the roundings at each node, are part of the error
-estimate.
+s (Takahasi & Mori, Publ. RIMS 9, 721 (1974)), with e^(-z) in the scale.
+The s range ends where a bound on the dropped tail is below rounding: past
+the cut the integrand is log-concave, so it lies below a Gaussian that
+touches it there.  That bound, and a count of the roundings at each node,
+are part of the error estimate.
 They run adaptive_quad's bisection on their own panel sum, one function
 that evaluates the map, both powers and the weight inline at the 15 nodes,
 in the same order of operations as the generic rule, so every bit is that
@@ -117,7 +117,7 @@ class Tolerance:
     """Convergence targets shared by the numerical routines.
 
     rel is a relative tolerance (> 0), abs an absolute floor (>= 0), both
-    finite; max_iter the iteration budget (>= 1).
+    finite; max_iter (>= 1) bounds the terms of a series only.
     """
 
     rel: float = 1e-10
@@ -339,8 +339,6 @@ def nested_quad(
     )
 
 
-_EXP_UNDERFLOW = 745.2  # e^(-x) is exactly 0 in double precision past about 745.13
-_EXP_SUBNORMAL = 708.3  # and subnormal, with fewer than 53 bits, past about 708.40
 # Share of the rounding floor ROUNDING * |value| that cosh_quad's dropped
 # tail may take at the cut, for a weight w(u) >= e^(-u)
 _TAIL_SHARE = 0.25
@@ -351,21 +349,19 @@ def _cosh_margin(m: int) -> float:
     # The M with Q(m+1, M) = Gamma(m+1, M)/m! = _TAIL_SHARE * ROUNDING.  For
     # the weight e^(-u) and z -> 0, Q(m+1, M) is the dropped tail of
     # cosh_quad over its value at x1 = z + M; at larger z that ratio falls,
-    # until the cut reaches 745.2.  The concavity bound of _cosh_tail is at
-    # most 0.2505 ROUNDING times the value below that end (checked at
-    # D = 3..12 for z from 1e-8 to 700).
+    # and the concavity bound of _cosh_tail is at most 0.2505 ROUNDING times
+    # the value (checked at D = 3..12 for z from 1e-8 to 700).
     # M = goal + ln e_m(M), e_m(x) = sum_(k<=m) x^k/k!, is a contraction
-    # (slope e_(m-1)/e_m < 1) that rises to the root from M = goal.
+    # (slope e_(m-1)/e_m < 1) that rises to the root (past m + 1) from
+    # M = max(goal, m); e_m(M) is summed down from M^m/m!, in ratios <= 1.
     goal = -math.log(_TAIL_SHARE * ROUNDING)
-    margin = goal
-    while margin < _EXP_UNDERFLOW:
+    margin, last = max(goal, m), -math.inf
+    while margin - last >= 1e-9:
         term = total = 1.0
-        for k in range(1, m + 1):
-            term *= margin / k
+        for l in range(m, 0, -1):
+            term *= l / margin
             total += term
-        margin, last = goal + math.log(total), margin
-        if margin - last < 1e-9:
-            break
+        margin, last = goal + m * math.log(margin) - math.lgamma(m + 1) + math.log(total), margin
     return margin
 
 
@@ -402,35 +398,41 @@ def _left_sum(values) -> float:
     return total
 
 
-def _cosh_tail(
-    j: int, p: int, q: float, z: float, x1: float, k: int, coefs: tuple[float, ...]
-) -> float:
+def _cosh_cut(z: float, m: int) -> tuple[float, float]:
+    # x1 = z cosh s1 = z + M and z sinh s1 = sqrt(M (M + 2z)), M = _cosh_margin(m),
+    # from M (z + M rounds to z from z = 2^59 on) and in halves (2z may overflow)
+    margin = _cosh_margin(m)
+    return z + margin, math.sqrt(2.0 * margin) * math.sqrt(z + 0.5 * margin)
+
+
+def _cosh_tail(j: int, p: int, q: float, z: float, k: int, coefs: tuple[float, ...]) -> float:
     # Bound on q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
-    # m = j + p, x1 = z cosh s1, for w(u) = e^(-u) and Li_(-k)(e^(-u)).
+    # m = j + p, s1 the cut of _cosh_cut, for w(u) = e^(-u) and Li_(-k)(e^(-u)).
     # For u >= x1, w(u) <= K e^(-u), K = A_k(y1)/(1 - y1)^(k+1), y1 = e^(-x1),
     # coefs those of A_k (k = 0 for e^(-u) too, where K = 1/(1 - y1) > 1).
     # f = sinh^j s cosh^(p+1) s e^(-z cosh s) is log-concave past s1:
     # -(ln f)'' = z cosh s + j/sinh^2 s - (p+1)/cosh^2 s >= c = x1 - max(p+1, 0),
-    # c > 0 for p <= 744.  So ln f(s1 + t) <= ln f(s1) - l t - c t^2/2, with
+    # c > z as M > m + 1.  So ln f(s1 + t) <= ln f(s1) - l t - c t^2/2, with
     # l = z sinh s1 - j coth s1 - (p+1) tanh s1 of either sign, and the tail
     # is at most q^(m+1) K f(s1) sqrt(pi/(2c)) e^(b^2) erfc(b), b = l/sqrt(2c).
-    # As l <= c, b <= sqrt(c/2) <= 19.3 and erfc(b) stays normal.  The bound
-    # is formed in logs, since e^(-x1) alone may underflow, and the sum of the
-    # logs, b^2 and ln erfc(b) apart, is raised by its rounding floor.
-    r = math.sqrt((x1 - z) * (x1 + z))  # z sinh s1, without cancellation
-    c = x1 - max(p + 1, 0)
-    b = (r - j * x1 / r - (p + 1) * r / x1) / math.sqrt(2.0 * c)
+    # b^2 < M about, so only past m = 480 can b reach 26, where erfc(b) nears
+    # underflow and 1/(b sqrt(pi)) bounds e^(b^2) erfc(b) to 1/(2 b^2).  The
+    # bound is formed in logs, since e^(-x1) alone may underflow, and the sum
+    # of the logs, b^2 and ln erfc(b) apart, is raised by its rounding floor.
+    x1, r = _cosh_cut(z, j + p)
+    c = x1 - max(p + 1, 0)  # about z: 2c may overflow, so c is halved
+    b = (r - j * (x1 / r) - (p + 1) * r / x1) / (2.0 * math.sqrt(0.5 * c))
     log_k = -(k + 1) * math.log(-math.expm1(-x1))
     if k:
         log_k += math.log(_horner(coefs, math.exp(-x1)))
+    gauss = (b * b, math.log(math.erfc(b))) if b < 26.0 else (-math.log(b * math.sqrt(math.pi)),)
     terms = (
         (j + p + 1) * math.log(q),
         j * math.log(r / z),
         (p + 1) * math.log(x1 / z),
         -x1,
-        0.5 * math.log(math.pi / (2.0 * c)),
-        b * b,
-        math.log(math.erfc(b)),
+        0.5 * math.log(0.5 * math.pi / c),
+        *gauss,
         log_k,
     )
     log_bound = magnitude = 0.0  # left to right, as _left_sum
@@ -444,19 +446,20 @@ def _cosh_tail(
         return math.inf
 
 
-def _cosh_rounding(j: int, p: int, k: int, z: float, evaluations: int) -> float:
+def _cosh_rounding(j: int, p: int, k: int, q: float, z: float, evaluations: int) -> float:
     # Rounding of cosh_quad's sum relative to its value, in eps, each libm
-    # call within 1 ulp and each operation within half of one.  At a node:
-    # sinh^j s and cosh^(p+1) s carry j + 1 and p + 2, scale and the three
-    # products 2.5, the weight at most 2k + 4 (exp, expm1, k - 1 Horner
-    # steps, the power k + 1 of 1 - y, a product and a quotient).  The
-    # 15-node panel sum carries 8 and adaptive_quad's running total 1.5 per
-    # split, 60 evaluations.  The rounding of u = z cosh s, 1.5 eps relative,
-    # moves ln w by |d ln w/d ln u| = u <n> (<n> the mean of n under
-    # n^k e^(-n u)), at most u + k + 1, and u averages at most z + m + 1
-    # over the integrand (a log-concave Gamma(m + 1) law cut at z).
-    per_node = j + p + 2 * k + 17.5 + 1.5 * (z + j + p + k + 2)
-    return sys.float_info.epsilon * (per_node + evaluations / 40.0)
+    # call within 1 ulp and each operation within half of one.  The scale
+    # exp((m+1) ln q - z), m = j + p, carries 1 + 2 (m+1) |ln q| + z/2.  At a
+    # node: sinh^j s and cosh^(p+1) s carry j + 1 and p + 2, three products
+    # 1.5, the weight at most 2k + 5.5 (exp, expm1, y, k - 1 Horner steps,
+    # the power k + 1 of 1 - y, a product and a quotient).  The panel sum
+    # carries 8 and adaptive_quad's running total 1.5 per split, 60
+    # evaluations.  The roundings of u = z cosh s, 1.5 eps u, and of z - u,
+    # eps (u - z)/2, move ln w by <n> times them (<n> the mean of n under
+    # n^k e^(-n u), u <n> <= u + k + 1), and u averages at most z + m + 1
+    # over the integrand (a log-concave Gamma(m + 1) law cut at z).  Halved: 2z may overflow.
+    half = 1.5 * (j + p) + 2 * k + 11.5 + z + (j + p + 1) * abs(math.log(q))
+    return 2.0 * sys.float_info.epsilon * (half + evaluations / 80.0)
 
 
 def cosh_quad(
@@ -469,32 +472,30 @@ def cosh_quad(
 ) -> EnergyValue:
     """int_0^inf k^j E^p w(z E/q) dk, E = sqrt(k^2 + q^2), on k = q sinh s:
 
-        q^(j+p+1) int_0^s1 sinh^j s cosh^(p+1) s w(z cosh s) ds.
+        q^(j+p+1) e^(-z) int_0^s1 sinh^j s cosh^(p+1) s e^z w(z cosh s) ds.
 
-    j >= 0 and j + p >= 0 are integers, q > 0 and z > 0; weight names w:
-    "exp" for e^(-u), or an integer k >= 0 for the polylogarithm
+    j >= 0 and j + p >= 0 are integers, q > 0 finite and z > 0 (z = inf,
+    a caller's overflowed lambda q, gives 0 for any q > 0; else ValueError).
+    weight names w: "exp" for e^(-u), or an integer k >= 0 for
     Li_(-k)(e^(-u)) = sum_(n>=1) n^k e^(-n u) = y A_k(y)/(1 - y)^(k+1),
     y = e^(-u), A_k the Eulerian polynomial; k = 0 is the Bose weight
-    1/(e^u - 1), computed as e^(-u)/(-expm1(-u)) so that it
-    underflows to 0 instead of overflowing.  With q = pi/a, z = lambda q
-    and k = j + p + 1, the integral is the whole regulated mode sum over
-    n of the e^(-u) integrals at q n, z n.
+    1/(e^u - 1), taken as e^(-u)/(-expm1(-u)), which cannot overflow.  With
+    q = pi/a, z = lambda q and k = j + p + 1, the integral is the whole
+    regulated mode sum over n of the e^(-u) integrals at q n, z n.
 
-    The range ends at x1 = z cosh s1 = min(z + M, 745.2), where M depends on
-    j + p only and makes the bound on the dropped tail (see _cosh_tail: the
-    integrand is log-concave past s1, so it lies below a Gaussian there) at
-    most 0.2505 ROUNDING times the value with w = e^(-u), which the weights
-    Li_(-k) only raise.  Past 745.2, e^(-u) underflows, so for z near 700
-    the bound there can exceed that share (at j >= 8, z = 700 the true tail
-    does, and at j = 89, p = 1 it exceeds the value).  The error estimate
-    adds to adaptive_quad's the tail bound and a counted rounding floor
-    (_cosh_rounding: (2.5 (j + p) + 3.5 k + 1.5 z + 20.5) eps relative, and
-    eps/40 per evaluation); converged requires adaptive_quad's estimate and
-    the tail bound to meet tol, since no refinement lowers the floor.  For
-    z > 708.3 every value of w is subnormal, no relative tolerance can be
-    met, and the integral is returned as an exact 0, e^(-708) below its
-    sum.  A sum that overflows raises OverflowError, as does a weight order
-    whose Eulerian coefficients leave the double range.
+    The scale is exp((j+p+1) ln q - z) and each node takes e^(z-u) for
+    e^(-u) (y = e^(z-u) e^(-z) inside A_k), so no node underflows while
+    the value is a normal number.  The range ends at x1 = z cosh s1 = z + M,
+    M a function of j + p that makes the bound on the dropped tail (see
+    _cosh_tail: the integrand is log-concave past s1, so it lies below a
+    Gaussian there) at most 0.2505 ROUNDING times the value with w = e^(-u),
+    which the weights Li_(-k) only raise.  The error estimate adds to
+    adaptive_quad's the tail bound and the floors of _cosh_rounding,
+    (3 (j + p) + 4 k + 2 z + 2 (j + p + 1) |ln q| + 23) eps relative plus
+    eps/40 and UNDERFLOW per evaluation; as no refinement lowers them,
+    converged asks only adaptive_quad's estimate and the tail bound to meet
+    tol.  A scale or sum that overflows raises OverflowError, as does a
+    weight order whose Eulerian coefficients leave the double range.
 
     The bisection of adaptive_quad runs on a fused panel sum: map, powers
     and weight inline at each of the 15 nodes, in the order of the plain
@@ -506,31 +507,36 @@ def cosh_quad(
         k = weight
     else:
         raise ValueError(f"unknown weight {weight!r}, need 'exp' or an integer k >= 0")
-    if z > _EXP_SUBNORMAL:
+    if not (isinstance(j, int) and isinstance(p, int) and j >= 0 and j + p >= 0
+            and 0 < q and 0 < z and (q < math.inf or z == math.inf)):
+        raise ValueError(f"cosh_quad needs integers j >= 0, j + p >= 0, q > 0 finite and z > 0, "
+                         f"got j={j!r}, p={p!r}, q={q!r}, z={z!r}")
+    if z == math.inf:  # e^(-z cosh s) = 0 at every s, and faster than any power of q
         return EnergyValue(0.0, 0.0, "quadrature", True, 0)
-    x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
-    s1 = math.acosh(x1 / z)
+    s1 = math.asinh(_cosh_cut(z, j + p)[1] / z)
     coefs = _eulerian(k) if k else ()
-    rule = _cosh_integrand(j, p + 1, q ** (j + p + 1), z, k, coefs)
-    res = _adaptive_finite(rule, 0.0, s1, tol)
+    scale = math.exp((j + p + 1) * math.log(q) - z)
+    res = _adaptive_finite(_cosh_integrand(j, p + 1, scale, z, k, coefs), 0.0, s1, tol)
     if not math.isfinite(res.value):
         raise OverflowError(f"cosh_quad sum out of range (j={j}, p={p}, z={z!r}, weight={weight!r})")
     order = k or 0  # the tail and the floor of e^(-u) are those of k = 0
-    err = res.err_estimate + _cosh_tail(j, p, q, z, x1, order, coefs)
+    err = res.err_estimate + _cosh_tail(j, p, q, z, order, coefs)
     converged = res.converged and err <= tol.target(res.value)
-    err += _cosh_rounding(j, p, order, z, res.evaluations) * abs(res.value)
+    err += _cosh_rounding(j, p, order, q, z, res.evaluations) * abs(res.value)
+    err += UNDERFLOW * res.evaluations
     return EnergyValue(res.value, err, "quadrature", converged, res.evaluations)
 
 
 def _cosh_integrand(
     j: int, power: int, scale: float, z: float, k: int | None, coefs: tuple[float, ...]
 ):
-    # The panel sum gl15(a, b) of scale sinh^j s cosh^power s w(z cosh s),
+    # The panel sum gl15(a, b) of scale sinh^j s cosh^power s e^z w(z cosh s),
     # w = e^(-u) for k None and Li_(-k)(e^(-u)) otherwise, coefs those of
     # A_k (k >= 1): the 15-point rule of _gl15 with map, powers and weight
     # inline at each node, one Python call per panel instead of two per node
     cosh, sinh, exp, expm1 = math.cosh, math.sinh, math.exp, math.expm1
     k1 = (k or 0) + 1
+    exp_z = exp(-z)  # y = e^(-u) is e^(z-u) e^(-z), one exp per node
 
     def gl15(a: float, b: float) -> float:
         half = 0.5 * (b - a)
@@ -540,23 +546,24 @@ def _cosh_integrand(
             for x, wx in _GL_PAIRS:
                 s = mid + half * x
                 c = cosh(s)
-                total += wx * (scale * sinh(s) ** j * c**power * exp(-z * c))
+                total += wx * (scale * sinh(s) ** j * c**power * exp(z - z * c))
         elif not k:
             for x, wx in _GL_PAIRS:
                 s = mid + half * x
                 c = cosh(s)
                 u = z * c
-                total += wx * (scale * sinh(s) ** j * c**power * (exp(-u) / -expm1(-u)))
+                total += wx * (scale * sinh(s) ** j * c**power * (exp(z - u) / -expm1(-u)))
         else:
             for x, wx in _GL_PAIRS:
                 s = mid + half * x
                 c = cosh(s)
                 u = z * c
-                y = exp(-u)
+                v = exp(z - u)
+                y = v * exp_z
                 poly = 0.0
                 for coef in coefs:
                     poly = poly * y + coef
-                total += wx * (scale * sinh(s) ** j * c**power * (y * poly / (-expm1(-u)) ** k1))
+                total += wx * (scale * sinh(s) ** j * c**power * (v * poly / (-expm1(-u)) ** k1))
         if total != total:  # a NaN node makes the sum NaN
             raise ValueError(f"integrand returned NaN on ({a!r}, {b!r})")
         return half * total

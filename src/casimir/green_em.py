@@ -54,9 +54,9 @@ the log-concavity of the integrand past the cut, is at most 0.2505 times
 the rounding floor of the value; the bound joins the error estimate.  The
 outer integral runs on zeta = e^sigma, which resolves the zeta^2 ln zeta
 behaviour at zeta -> 0 in a few panels, over x = 2 a n zeta from 1e-7 to
-708.3, past which every inner integral is an exact 0.  Each dropped end
-has a closed bound from bose(u) <= e^(-u)(1 + 1/u), which gives
-J(zeta) <= (e^(-x) + E1(x))/(2a) for the inner integral J; the bounds
+708.3, past which the inner integrals add about e^(-708) of the value.
+Each dropped end has a closed bound from bose(u) <= e^(-u)(1 + 1/u), which
+gives J(zeta) <= (e^(-x) + E1(x))/(2a) for the inner integral J; the bounds
 (about 3e-21 of the value below, e^(-708) above) join the error estimate.
 On this map every (a, n) is the same integral shifted in sigma.  The
 nesting runs on engine.nested_quad: each inner integral stops at a
@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import ROUNDING, DEFAULT_TOL, _EXP_SUBNORMAL, EnergyValue, Tolerance
+from .engine import ROUNDING, DEFAULT_TOL, EnergyValue, Tolerance
 from .engine import _left_sum, adaptive_quad, cosh_quad, nested_quad, sum_series
 from .matsubara import CavityConfig
 
@@ -105,7 +105,11 @@ def spectral_energy_density(
     z' -> z, computed independently from the two component sets of the
     module docstring (there cosh kappa(z - z') = 1).  Only cfg.a is read
     from the cavity; the medium enters through eps and mu, so a
-    frequency-dependent eps(i zeta) can be passed in."""
+    frequency-dependent eps(i zeta) can be passed in.  k_perp and zeta must
+    be finite, eps and mu finite and > 0."""
+    if not (math.isfinite(k_perp) and math.isfinite(zeta) and 0 < eps < math.inf and 0 < mu < math.inf):
+        raise ValueError(f"need finite k_perp, zeta and finite eps, mu > 0, got "
+                         f"k_perp={k_perp!r}, zeta={zeta!r}, eps={eps!r}, mu={mu!r}")
     kappa = math.sqrt(k_perp**2 + eps * mu * zeta**2)
     if kappa == 0.0:
         raise ValueError("kappa = 0 (k_perp = zeta = 0) is singular")
@@ -125,9 +129,10 @@ def spectral_energy_density(
 
 
 # The outer zeta range of em_energy_T0 in x = 2 a n zeta: from _X_LOW, where
-# the dropped start is ~3e-21 of the value, to _EXP_SUBNORMAL, past which
-# every inner integral is an exact 0.
+# the dropped start is ~3e-21 of the value, to _EXP_SUBNORMAL, where e^(-x)
+# turns subnormal and the dropped end is ~e^(-708) of it.
 _X_LOW = 1e-7
+_EXP_SUBNORMAL = 708.3
 
 
 def _t0_end_bounds(x0: float, x1: float) -> tuple[float, float]:
@@ -159,7 +164,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
     n2 = cfg.n**2
     c = 2.0 * cfg.a * cfg.n  # x = c zeta
     inner_rel = max(1e-13, min(tol.rel * 1e-2, 1e-12))
-    outer_tol = Tolerance(rel=tol.rel, abs=0.0, max_iter=tol.max_iter)
+    outer_tol = Tolerance(rel=tol.rel, abs=0.0)
     pref = -n2 * cfg.a / math.pi**2
 
     def inner(sigma: float, floor: float) -> EnergyValue:
@@ -170,7 +175,7 @@ def em_energy_T0(cfg: CavityConfig, tol: Tolerance = DEFAULT_TOL) -> EnergyValue
         scale = pref * zeta * zeta * zeta
         # scale underflows to 0 only where the whole integrand does
         inner_floor = floor / abs(scale) if scale else 0.0
-        inner_tol = Tolerance(rel=inner_rel, abs=inner_floor, max_iter=tol.max_iter)
+        inner_tol = Tolerance(rel=inner_rel, abs=inner_floor)
         j = cosh_quad(1, -1, q, 2.0 * cfg.a * q, 0, inner_tol)
         return EnergyValue(scale * j.value, abs(scale) * j.err_estimate, "quadrature",
                            j.converged, j.evaluations)

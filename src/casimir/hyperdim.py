@@ -64,8 +64,9 @@ engine.nested_quad, which scales each inner floor to the largest outer node.
 The range ends at z cosh s1 = z + M, M = 39.8 at D = 3 up to 62.5 at
 D = 12, where a bound on the dropped tail, from the log-concavity of the
 integrand past the cut, is at most 0.2505 of the rounding floor; that
-bound and a count of the roundings are part of err_estimate.  Past
-z ~ 700 the end stays at z cosh s1 = 745.2, where w underflows.  Where
+bound and a count of the roundings are part of err_estimate.  The factor
+e^(-z) is applied once, to the scale, so the cut is the same past
+z = 708, where every value of w is subnormal.  Where
 the mode sum or the Eulerian numbers leave the double range (D >= 95 at
 lambda/a = 0.1, D >= 173 at any lambda) mode_energy raises one
 OverflowError that names D and lambda, whichever float operation
@@ -170,7 +171,7 @@ def pressure_quadrature(
 
         def inner(zeta: float, floor: float) -> EnergyValue:
             c = cfg.n * zeta
-            inner_tol = Tolerance(rel=inner_rel, abs=floor, max_iter=tol.max_iter)
+            inner_tol = Tolerance(rel=inner_rel, abs=floor)
             return cosh_quad(d - 2, 1, c, 2.0 * cfg.a * c, 0, inner_tol)
 
         res = nested_quad(inner, 0.0, math.inf, tol)
@@ -283,7 +284,7 @@ def _mode_sum(
     try:
         d = cfg.d
         a_d = solid_angle(d - 1) / (2.0 * math.pi) ** (d - 1)
-        quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=tol.max_iter)
+        quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0)
         split = math.inf if model is None else _photon_jump(model)
         if split == math.inf:
             base = math.pi / cfg.a
@@ -306,7 +307,7 @@ def _mode_sum(
 
             t_split = (split - q) / (1.0 + split - q) if q < split else 0.0
             edges = (0.0, t_split, 1.0) if 0.0 < t_split < 1.0 else (0.0, 1.0)
-            mode_tol = Tolerance(rel=quad_tol.rel, abs=floor, max_iter=tol.max_iter)
+            mode_tol = Tolerance(rel=quad_tol.rel, abs=floor)
             pieces = Accumulator()
             for lo, hi in zip(edges, edges[1:]):
                 pieces.take(adaptive_quad(g, lo, hi, mode_tol))
@@ -333,7 +334,7 @@ def _mode_energy_per_mode(
 
     def term(m: int, floor: float) -> EnergyValue:
         q = math.pi * m / cfg.a
-        quad_tol = Tolerance(rel=quad_rel, abs=floor, max_iter=tol.max_iter)
+        quad_tol = Tolerance(rel=quad_rel, abs=floor)
         return cosh_quad(d - 2, 1, q, lam * q, "exp", quad_tol)
 
     res = nested_sum(term, tol)

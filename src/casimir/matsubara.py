@@ -154,7 +154,7 @@ def _matsubara_series(cfg: CavityConfig, kernel, tol: Tolerance) -> EnergyValue:
 
     def term(m: int, floor: float) -> EnergyValue:
         x = 2.0 * math.pi * m * cfg.T * cfg.n
-        quad_tol = Tolerance(rel=quad_rel, abs=floor, max_iter=tol.max_iter)
+        quad_tol = Tolerance(rel=quad_rel, abs=floor)
         return adaptive_quad(lambda k: kernel(k, cfg.a), x, math.inf, quad_tol)
 
     acc = Accumulator()

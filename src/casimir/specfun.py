@@ -16,7 +16,7 @@ __all__ = ["riemann_zeta", "hurwitz_zeta", "solid_angle"]
 
 
 def hurwitz_zeta(s: float, q: float) -> float:
-    """Hurwitz zeta sum_{k>=0} (k+q)^(-s) for s > 1, q > 0.
+    """Hurwitz zeta sum_{k>=0} (k+q)^(-s) for finite s > 1, q > 0.
 
     Partial sum over k < N plus the Euler-Maclaurin tail
 
@@ -26,8 +26,8 @@ def hurwitz_zeta(s: float, q: float) -> float:
     with N grown until the first dropped (B6) correction is below 1e-16
     of the running total.
     """
-    if not s > 1:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"hurwitz_zeta requires finite s > 1, got {s}")
     if not q > 0:
         raise ValueError(f"hurwitz_zeta requires q > 0, got {q}")
 

@@ -118,8 +118,18 @@ class TestModeSolve:
         with pytest.raises(ValueError):
             dispersive_mode_solve(MODEL, 0.0)
 
+    def test_rejects_infinite_k(self):
+        for model in (MODEL, LorentzModel(1.0, 10.0)):
+            with pytest.raises(ValueError, match="finite"):
+                dispersive_mode_solve(model, math.inf)
+
 
 class TestPhotonIndex:
+    def test_rejects_k_outside_its_domain(self):
+        for k in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                photon_index(LorentzModel(eps_bar=2.0, omega0=1.0), k)
+
     def test_limits(self):
         m = LorentzModel(eps_bar=2.0, omega0=1.0)
         assert photon_index(m, 1e-3) == pytest.approx(math.sqrt(2.0), rel=1e-5)

@@ -8,9 +8,9 @@ import mpmath as mp
 import pytest
 
 import casimir
-from casimir.engine import ROUNDING, Accumulator, EnergyValue, Tolerance
+from casimir.engine import ROUNDING, UNDERFLOW, Accumulator, EnergyValue, Tolerance
 from casimir.engine import adaptive_quad, cosh_quad, nested_quad, nested_sum, sum_series, finite_diff
-from casimir.engine import _GL_NODES, _GL_WEIGHTS, _EXP_UNDERFLOW, _cosh_margin, _cosh_tail
+from casimir.engine import _GL_NODES, _GL_WEIGHTS, _cosh_cut, _cosh_margin, _cosh_tail
 from casimir.engine import _cosh_rounding, _eulerian
 
 ZETA3 = 1.2020569031595943  # sum 1/k^3, frozen from a high-precision partial sum
@@ -157,16 +157,17 @@ class TestAdaptiveQuad:
         assert math.isfinite(res.value) and res.value < 10.0
 
 
-def _mp_cosh_tail(j, p, q, z, x1, order):
+def _mp_cosh_tail(j, p, q, z, margin, order):
     """30-digit q^(m+1) int_(s1)^inf sinh^j s cosh^(p+1) s w(z cosh s) ds,
-    m = j + p, x1 = z cosh s1, in x = z cosh s = x1 + y with the e^(-x1) of
+    m = j + p, x1 = z cosh s1 = z + margin, in x = z cosh s = x1 + y with the e^(-x1) of
     w taken out of the integral, which then is of order 1.  order None is
     w = e^(-u); order k >= 0 is Li_(-k)(e^(-u)) = e^(-u) A_k(e^(-u))/(1 - e^(-u))^(k+1),
     A_k the Eulerian polynomial (k = 0 the Bose weight).  Breakpoints a
     factor 100 apart resolve the scales of x from z up: Li_(-k) grows like
     k!/u^(k+1) at small u."""
     with mp.workdps(30):
-        q, z, x1 = mp.mpf(q), mp.mpf(z), mp.mpf(x1)
+        q, z = mp.mpf(q), mp.mpf(z)
+        x1 = z + margin
         coefs = [mp.mpf(int(c)) for c in _eulerian(order or 0)]
         e1 = mp.exp(-x1)
 
@@ -205,7 +206,7 @@ def _mp_cosh_value(shape, j, p, q, z):
                 return mp.gamma(nu + 0.5) * (2 / zm) ** nu * mp.besselk(nu, zm) / mp.sqrt(mp.pi)
 
             return qm ** (j + 2) * (sinh_moment(j) + sinh_moment(j + 2))
-        return _mp_cosh_tail(j, p, q, z, z, _weight(shape))
+        return _mp_cosh_tail(j, p, q, z, 0, _weight(shape))
 
 
 def _weight(shape):
@@ -236,37 +237,53 @@ class TestCoshQuad:
         q = math.exp(z / (j + p + 1))
         weight = _weight(shape)
         ev = cosh_quad(j, p, q, z, weight, Tolerance(rel=1e-13, abs=0.0))
-        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
+        margin = _cosh_margin(j + p)
         order = weight if isinstance(weight, int) else 0
-        bound = _cosh_tail(j, p, q, z, x1, order, _eulerian(order))
-        tail = _mp_cosh_tail(j, p, q, z, x1, None if weight == "exp" else order)
+        bound = _cosh_tail(j, p, q, z, order, _eulerian(order))
+        tail = _mp_cosh_tail(j, p, q, z, margin, None if weight == "exp" else order)
         assert ev.converged
-        assert bound >= tail
-        if x1 < _EXP_UNDERFLOW:
-            assert bound <= ROUNDING * abs(ev.value)
-        else:
-            # cut at the underflow of e^(-u), 45.2 past z = 700: at D = 11
-            # and 12 the dropped part itself is 1.9 and 6.3 ROUNDING |value|
-            assert bound <= 1.01 * tail
+        assert tail <= bound <= ROUNDING * abs(ev.value)
         ref = _mp_cosh_value(shape, j, p, q, z)
         assert abs(ev.value - ref) <= ev.err_estimate
 
     @pytest.mark.parametrize(
         "j, p, z", [(38, 1, 1.0), (38, 1, 700.0), (78, 1, 1.0), (78, 1, 700.0),
-                    (89, 1, 700.0), (3, -2, 1.0), (0, 30, 1.0)]
+                    (89, 1, 700.0), (3, -2, 1.0), (0, 30, 1.0), (0, 480, 3e5)]
     )
     def test_tail_bound_beyond_the_grid(self, j, p, z):
-        # high powers, where at z = 700 most of the integral lies past the
-        # underflow end, a negative power of cosh, and j = 0 at a high one
+        # high powers, a negative power of cosh, j = 0 at a high one, and
+        # b = 26.07 at (0, 480, 3e5), where erfc(b) gives way to its bound
         q = math.exp(z / (j + p + 1))
-        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
-        bound = _cosh_tail(j, p, q, z, x1, 0, _eulerian(0))
-        tail = _mp_cosh_tail(j, p, q, z, x1, None)
+        bound = _cosh_tail(j, p, q, z, 0, _eulerian(0))
+        tail = _mp_cosh_tail(j, p, q, z, _cosh_margin(j + p), None)
         assert tail <= bound <= 1.5 * tail
 
-    def test_subnormal_weights_give_an_exact_zero(self):
-        ev = cosh_quad(1, 1, 1.0, 710.0, 0)
-        assert (ev.value, ev.err_estimate, ev.converged, ev.evaluations) == (0.0, 0.0, True, 0)
+    @pytest.mark.parametrize("z", [710.0, 745.2, 1000.0])
+    @pytest.mark.parametrize("shape, j, p", [("bose", 1, 1), ("mode", 9, 1), ("em", 1, -1), ("li4", 2, 1)])
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_values_past_the_exponent_range(self, shape, j, p, z, normal):
+        # every value of w(z cosh s) is subnormal or 0 here.  At q = 1 the
+        # value is subnormal or 0 too, and UNDERFLOW per node covers it; at
+        # q = e^(z/(m+2)) it is a normal number, cut at z + M like any other
+        q = math.exp(z / (j + p + 2)) if normal else 1.0
+        ev = cosh_quad(j, p, q, z, _weight(shape), Tolerance(rel=1e-13, abs=0.0))
+        ref = _mp_cosh_value(shape, j, p, q, z)
+        assert ev.converged
+        assert abs(ev.value - ref) <= ev.err_estimate
+        if normal:
+            assert ev.err_estimate <= 1e-12 * abs(ev.value)
+
+    @pytest.mark.parametrize("z", [5.8e17, 1e18, 1e300, 9e307, sys.float_info.max, math.inf])
+    @pytest.mark.parametrize("shape, j, p", [("bose", 1, 1), ("mode", 9, 1), ("em", 1, -1), ("li4", 2, 1)])
+    def test_values_where_the_cut_rounds_to_z(self, shape, j, p, z):
+        # z + M rounds to z from z = 2^59 on, and 2z overflows from 9e307:
+        # the cut is formed from M, and the value, e^(-z) times powers of
+        # q = 1, lies below the least subnormal.  z = inf, where a caller's
+        # lambda q overflows, gives the same 0 at once, also at q = inf
+        for q in (1.0, math.inf) if z == math.inf else (1.0,):
+            ev = cosh_quad(j, p, q, z, _weight(shape))
+            assert (ev.value, ev.converged) == (0.0, True)
+            assert ev.err_estimate == UNDERFLOW * ev.evaluations
 
     @pytest.mark.parametrize("weight", ["exp", "bose", 5])
     @pytest.mark.parametrize("z", [1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
@@ -275,7 +292,7 @@ class TestCoshQuad:
         # the fused panel sum must reproduce adaptive_quad over the plain
         # integrand bit for bit: value, error, evaluations and flag
         q = math.exp(z / (j + p + 1))
-        scale = q ** (j + p + 1)
+        scale = math.exp((j + p + 1) * math.log(q) - z)
         order = 0 if weight in ("exp", "bose") else weight
         coefs = _eulerian(order) if order else ()
 
@@ -283,26 +300,45 @@ class TestCoshQuad:
             c = math.cosh(s)
             u = z * c
             if weight == "exp":
-                w = math.exp(-u)
+                w = math.exp(z - u)
             elif weight == "bose":
-                w = math.exp(-u) / -math.expm1(-u)
+                w = math.exp(z - u) / -math.expm1(-u)
             else:
-                y, poly = math.exp(-u), 0.0
+                v = math.exp(z - u)
+                y, poly = v * math.exp(-z), 0.0
                 for coef in coefs:
                     poly = poly * y + coef
-                w = y * poly / (-math.expm1(-u)) ** 6
+                w = v * poly / (-math.expm1(-u)) ** 6
             return scale * math.sinh(s) ** j * c ** (p + 1) * w
 
         tol = Tolerance(rel=1e-13, abs=0.0)
-        x1 = min(z + _cosh_margin(j + p), _EXP_UNDERFLOW)
-        ref = adaptive_quad(plain, 0.0, math.acosh(x1 / z), tol)
-        err = ref.err_estimate + _cosh_tail(j, p, q, z, x1, order, coefs)
+        _, r = _cosh_cut(z, j + p)
+        ref = adaptive_quad(plain, 0.0, math.asinh(r / z), tol)
+        err = ref.err_estimate + _cosh_tail(j, p, q, z, order, coefs)
         converged = ref.converged and err <= tol.target(ref.value)
-        err += _cosh_rounding(j, p, order, z, ref.evaluations) * abs(ref.value)
+        err += _cosh_rounding(j, p, order, q, z, ref.evaluations) * abs(ref.value)
+        err += UNDERFLOW * ref.evaluations
         ev = cosh_quad(j, p, q, z, "exp" if weight == "exp" else order, tol)
         assert (ev.value, ev.err_estimate, ev.evaluations, ev.converged) == (
             ref.value, err, ref.evaluations, converged
         )
+
+    def test_rejects_arguments_outside_its_domain(self):
+        bad = [(-1, 1, 1.0, 1.0), (1.0, 1, 1.0, 1.0), (1, 0.5, 1.0, 1.0), (2, -3, 1.0, 1.0)]
+        for x in (0.0, -1.0, math.nan):
+            bad += [(1, 1, x, 1.0), (1, 1, 1.0, x)]
+        bad.append((1, 1, math.inf, 1.0))
+        for j, p, q, z in bad:
+            with pytest.raises(ValueError, match="cosh_quad needs"):
+                cosh_quad(j, p, q, z, "exp")
+
+    @pytest.mark.parametrize("j", [600, 1000])
+    def test_high_orders_end(self, j):
+        # the cut margin is summed down from its largest term, so it ends at
+        # any order (test_margin_meets_its_share_of_rounding checks it there);
+        # here sinh^j s overflows on the way to the cut
+        with pytest.raises(OverflowError):
+            cosh_quad(j, 1, 1.0, 1.0, "exp")
 
     def test_weight_is_named(self):
         for weight in (math.exp, "li", "bose", -1, 2.0, True):
@@ -320,7 +356,7 @@ class TestCoshQuad:
 
     def test_margin_meets_its_share_of_rounding(self):
         # Q(m+1, M) = Gamma(m+1, M)/m! = ROUNDING/4 defines the cut
-        for m in (0, 1, 5, 10):
+        for m in (0, 1, 5, 10, 200, 600, 1000):
             with mp.workdps(30):
                 share = mp.gammainc(m + 1, _cosh_margin(m), regularized=True)
             assert share == pytest.approx(ROUNDING / 4, rel=1e-6)

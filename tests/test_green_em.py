@@ -4,13 +4,14 @@ import random
 import mpmath
 import pytest
 
-from casimir.engine import DEFAULT_TOL, _EXP_SUBNORMAL, Tolerance
+from casimir.engine import DEFAULT_TOL, Tolerance
 from casimir.matsubara import CavityConfig, internal_energy_direct
 from casimir.green_em import (
     spectral_energy_density,
     em_energy_T0,
     em_energy_T0_polar,
     em_energy_finiteT,
+    _EXP_SUBNORMAL,
     _X_LOW,
     _t0_end_bounds,
 )
@@ -39,6 +40,15 @@ class TestGreensComponents:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             spectral_energy_density(0.0, 0.0, CFG0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_input_and_empty_media(self, bad):
+        for args in ((bad, 1.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0), (1.0, 1.0, bad, 1.0), (1.0, 1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="need finite"):
+                spectral_energy_density(args[0], args[1], CFG0, eps=args[2], mu=args[3])
+        for eps, mu in ((0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="need finite"):
+                spectral_energy_density(1.0, 1.0, CFG0, eps=eps, mu=mu)
 
 
 class TestSpectralDensity:

@@ -92,8 +92,8 @@ class TestPressure:
     @pytest.mark.parametrize("n", [1.0, 2.0])
     def test_cartesian_route(self, D, n):
         # the inner k integral runs on k = n zeta sinh s, cut where its tail
-        # bound is below rounding: at most 37 890 evaluations at D = 3 and
-        # 30 030 at D >= 4; D = 3 holds only 3e-12 relative
+        # bound is below rounding: at most 38 070 evaluations at D = 3 and
+        # 30 210 at D >= 4; D = 3 holds only 3e-12 relative
         cfg = HyperConfig(dim=D, n=n)
         pq = pressure_quadrature(cfg, Tolerance(rel=1e-10, abs=0.0), route="cartesian")
         closed = pressure_closed(cfg).value
@@ -111,14 +111,15 @@ class TestPressure:
     def test_cartesian_route_inner_values_near_underflow(self, D, a, n):
         # outer nodes where 2 a n zeta lies in (708.4, 745.1) give inner values
         # that are subnormal throughout: no relative tolerance can be met on
-        # them, and each would run to max_panels unconverged
+        # them, so each stops at the floor nested_quad grants it, in 45
+        # evaluations
         cfg = HyperConfig(dim=D, a=a, n=n)
         pq = pressure_quadrature(cfg, route="cartesian")
         closed = pressure_closed(cfg).value
         assert pq.converged
         assert abs(pq.value - closed) <= pq.err_estimate
         assert pq.err_estimate <= 1e-9 * abs(closed)
-        assert pq.evaluations <= 31_000  # at most 30 810
+        assert pq.evaluations <= 31_000  # at most 30 990
         assert pressure_quadrature(cfg, route="cartesian") == pq
 
     def test_separation_scaling(self):
@@ -330,6 +331,28 @@ class TestModeSumOnCoshMap:
         assert ev.converged
         assert abs(ev.value - ref) <= ev.err_estimate, (ev, ref)
         assert abs(ev.value - ref) <= 1e-14 * abs(ref), (ev, ref)
+
+    @pytest.mark.parametrize(
+        "D, a, lam, ref",
+        [
+            (4, 0.01, 2.3, None),
+            (12, 0.01, 2.3, None),
+            # from mode_reference at 120 digits, where 200 agree (at 30 and 60
+            # digits its polynomial in 1/t loses the value to cancellation)
+            (92, 0.003, 0.7, 1.8137128554710676e-208),
+            (92, 0.003, 0.6684507609859605, 3.4540672804885526e-193),
+        ],
+    )
+    def test_past_the_exponent_range(self, D, a, lam, ref):
+        # z = lam pi/a is 722.6 at a = 0.01 and 733.0 / 700.0 at D = 92: every
+        # weight is subnormal or 0, the value 1.1e-310 (subnormal), 2.4e-305,
+        # 1.8e-208 and 3.5e-193, and at D = 92 most of it lies past
+        # z cosh s = 745.2, where e^(-u) underflows
+        ev = mode_energy(HyperConfig(dim=D, a=a), lam)
+        ref = mode_reference(D, a, 1.0, lam) if ref is None else ref
+        assert ev.converged
+        assert abs(ev.value - ref) <= ev.err_estimate, (ev, ref)
+        assert ev.err_estimate <= (1e-11 * abs(ref) if D > 4 else 1e-321)
 
     @pytest.mark.parametrize("D", [95, 200])
     def test_out_of_range_raises(self, D):

@@ -1,8 +1,11 @@
 """Each command loads only the modules it reads: ``import casimir`` loads
 no submodule, ``import casimir.cli`` adds ``engine`` alone, and one run of
-a command adds the modules behind its routes.  Every case runs in a fresh
+a command adds the modules behind its routes.  No command loads a module
+from outside the standard library (mpmath and numpy included) beyond what
+the interpreter's own start-up already loads.  Every case runs in a fresh
 interpreter, since a module once loaded stays in ``sys.modules``."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -27,15 +30,33 @@ LOADED = [
 ]
 
 
-def _loaded_after(code: str) -> set[str]:
+def _run(code: str) -> tuple[set[str], set[str]]:
+    # the casimir submodules and the top-level modules loaded after code
     script = (
         f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-        "print(' '.join(m[len('casimir.'):] for m in sys.modules if m.startswith('casimir.')))"
+        "print(' '.join(m[len('casimir.'):] for m in sys.modules if m.startswith('casimir.')))\n"
+        "print(' '.join(m for m in sys.modules if '.' not in m))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
     )
-    return set(out.stdout.split())
+    submodules, top = out.stdout.split("\n")[-3:-1]
+    return set(submodules.split()), set(top.split())
+
+
+def _loaded_after(code: str) -> set[str]:
+    return _run(code)[0]
+
+
+@functools.cache
+def _bare_interpreter() -> set[str]:
+    # what start-up loads, site's .pth hooks included (_distutils_hack and
+    # certifi in some environments)
+    return _run("")[1]
+
+
+def _foreign(top: set[str]) -> set[str]:
+    return top - _bare_interpreter() - set(sys.stdlib_module_names) - {"casimir"}
 
 
 def test_package_import_loads_no_submodule():
@@ -52,4 +73,8 @@ def test_command_loads_only_what_it_reads(argv, modules):
         "import contextlib, io\nfrom casimir import cli\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
     )
-    assert _loaded_after(code) == modules
+    submodules, top = _run(code)
+    assert submodules == modules
+    # no runtime dependency: nothing beyond the standard library and start-up
+    assert _foreign(top) == set()
+    assert not {"mpmath", "numpy"} & top

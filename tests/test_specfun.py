@@ -69,6 +69,11 @@ class TestHurwitzZeta:
         s, q = 5.0, 1e-4
         assert abs(q**s * hurwitz_zeta(s, q) - 1.0) < 1e-3
 
+    def test_rejects_infinite_s(self):
+        for zeta in (lambda s: hurwitz_zeta(s, 0.5), riemann_zeta):
+            with pytest.raises(ValueError, match="finite s > 1"):
+                zeta(math.inf)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(0.5, 1.0)

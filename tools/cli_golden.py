@@ -19,17 +19,21 @@ that moves bytes records it again in the same commit.
 
 ``--compare`` prints each invocation whose record differs between two
 OUT.json files, with the changed lines of stdout (and of a written file)
-side by side, old then new.  It exits 1 if any exit code or stderr
-differs, or if the files do not record the same invocations, and 0
-otherwise.
+side by side, old then new.  For each moved CSV or JSON row that has a
+value and an err_estimate it also prints |delta| of the values and both
+errors.  It exits 1 if any exit code or stderr differs, if some |delta|
+exceeds the old error plus the new one, or if the files do not record the
+same invocations, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -114,9 +118,16 @@ CALLS = [
     # (D = 95) or Gamma(d/2) (D = 400) overflows first
     ["cutoff-sum", "--D", "95"],
     ["cutoff-sum", "--D", "400"],
-    # the mode sum at z = lambda pi/a = 700 and D = 92, whose range ends at the
-    # underflow of e^(-u) with most of the integral past it: unconverged
+    # mode sums at the end of the exponent range: D = 92 at z = lambda pi/a =
+    # 700, most of its value past z cosh s = 745.2, and z = 722.6 (D = 12) and
+    # 733.0 (D = 92), where every e^(-u) is subnormal or 0
     ["cutoff-sum", "--D", "92", "--a", "0.003", "--cutoff-lambda", "0.6684507609859605"],
+    ["cutoff-sum", "--D", "12", "--a", "0.01", "--cutoff-lambda", "2.3"],
+    ["cutoff-sum", "--D", "92", "--a", "0.003", "--cutoff-lambda", "0.7"],
+    # and far past it, where the sum is 0 in double precision: z = 3.1e18,
+    # where z + M rounds to z, and a = 1e-310, where pi/a and z overflow
+    ["cutoff-sum", "--cutoff-lambda", "1e18"],
+    ["cutoff-sum", "--a", "1e-310"],
     ["internal-energy", "--T", "1e300"],
     ["pressure", "--T", "0", "--a", "1e-100"],
     ["free-energy", "--T", "0", "--a", "1e-104", "--format", "json"],
@@ -200,9 +211,40 @@ def _changed_lines(label: str, old: str | None, new: str | None) -> None:
             print(f"  {label} line {i}: {a}  ->  {b}")
 
 
+def _rows(text: str | None) -> list[dict]:
+    # the rows of a CSV or JSON output that carry value and err_estimate
+    text = (text or "").strip()
+    if text.startswith("["):
+        rows = json.loads(text)
+    else:
+        rows = list(csv.DictReader(text.splitlines()))
+    return [r for r in rows if isinstance(r, dict) and "value" in r and "err_estimate" in r]
+
+
+def _number(field) -> float:
+    # a JSON null (a non-finite value) compares as NaN, so it is never inside
+    return math.nan if field is None else float(field)
+
+
+def _moved_values(old: str | None, new: str | None) -> bool:
+    """Print |delta| and both errors for each row whose value or error
+    moved; True if some |delta| exceeds the old error plus the new one."""
+    beyond = False
+    for i, (o, n) in enumerate(zip(_rows(old), _rows(new)), 1):
+        if (o["value"], o["err_estimate"]) == (n["value"], n["err_estimate"]):
+            continue
+        delta = abs(_number(n["value"]) - _number(o["value"]))
+        old_err, new_err = _number(o["err_estimate"]), _number(n["err_estimate"])
+        inside = delta <= old_err + new_err
+        beyond = beyond or not inside
+        verdict = "inside" if inside else "OUTSIDE"
+        print(f"  row {i}: |delta| {delta!r}, err {old_err!r} -> {new_err!r}: {verdict}")
+    return beyond
+
+
 def compare(old_path: str, new_path: str) -> int:
     """Print the invocations whose records differ; 1 if any exit code or
-    stderr differs, else 0."""
+    stderr differs or a moved value leaves both error bars, else 0."""
     with open(old_path, encoding="utf-8") as fh:
         old = json.load(fh)
     with open(new_path, encoding="utf-8") as fh:
@@ -222,6 +264,8 @@ def compare(old_path: str, new_path: str) -> int:
                 print(f"  {key}: {o[key]!r}  ->  {n[key]!r}")
         _changed_lines("stdout", o["stdout"], n["stdout"])
         _changed_lines("file", o.get("file"), n.get("file"))
+        for key in ("stdout", "file"):
+            hard = _moved_values(o.get(key), n.get(key)) or hard
     print(f"{moved} of {len(old)} invocations differ")
     return 1 if hard else 0
 
